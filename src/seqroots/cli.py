@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Callable, NoReturn, Optional, Sequence
 
 from .bench import BenchCase, builtin_cases, format_report, run_bench
@@ -46,19 +46,6 @@ _STATUS_EXIT = {
     RootStatus.MAX_ITERS_EXCEEDED: EXIT_MAX_ITERS,
     RootStatus.DEGENERATE_SEED: EXIT_DEGENERATE,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    poly: Optional[MonicIntPolynomial]
-    shift: Optional[AffineShift] = None
-    seed: Optional[tuple[int, ...]] = None
-    steps: int = 0
-    digits: int = DEFAULT_OPTIONS.target_digits
-    max_iters: int = DEFAULT_OPTIONS.max_iters
-    runs: int = 5
-    as_json: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,22 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        poly=getattr(args, "poly", None),
-        shift=getattr(args, "shift", None),
-        seed=getattr(args, "seed", None),
-        steps=getattr(args, "steps", 0),
-        digits=args.digits,
-        max_iters=getattr(args, "max_iters", DEFAULT_OPTIONS.max_iters),
-        runs=getattr(args, "runs", 5),
-        as_json=args.json,
-    )
-
-
-def _options(cfg: RunConfig) -> DriverOptions:
-    return DriverOptions(target_digits=cfg.digits, max_iters=cfg.max_iters)
+def _options(args: argparse.Namespace) -> DriverOptions:
+    return DriverOptions(target_digits=args.digits, max_iters=args.max_iters)
 
 
 def _shift_field(shift: Optional[AffineShift]) -> Optional[list[str]]:
@@ -215,19 +188,18 @@ def _estimate_field(est: RootEstimate, digits: int) -> dict:
     }
 
 
-def cmd_sequences(cfg: RunConfig) -> tuple[dict, int]:
-    assert cfg.poly is not None
-    seed = cfg.seed if cfg.seed is not None else default_seed(cfg.poly.degree)
-    if cfg.shift is not None:
-        family = shifted_family(cfg.poly, cfg.shift, seed, keep_history=True)
+def cmd_sequences(args: argparse.Namespace) -> tuple[dict, int]:
+    seed = args.seed if args.seed is not None else default_seed(args.poly.degree)
+    if args.shift is not None:
+        family = shifted_family(args.poly, args.shift, seed, keep_history=True)
     else:
-        family = init_family(cfg.poly, seed, keep_history=True)
-    family.run_to(cfg.steps)
+        family = init_family(args.poly, seed, keep_history=True)
+    family.run_to(args.steps)
     rows = []
-    for j in range(cfg.steps + 1):
+    for j in range(args.steps + 1):
         vec = family.vector(j)
         ratios = [
-            ratio_string(vec[i], vec[i + 1], cfg.digits)
+            ratio_string(vec[i], vec[i + 1], args.digits)
             for i in range(len(vec) - 1)
         ]
         rows.append(
@@ -235,8 +207,8 @@ def cmd_sequences(cfg: RunConfig) -> tuple[dict, int]:
         )
     doc = {
         "command": "sequences",
-        "polynomial": [str(c) for c in cfg.poly.with_leading()],
-        "shift": _shift_field(cfg.shift),
+        "polynomial": [str(c) for c in args.poly.with_leading()],
+        "shift": _shift_field(args.shift),
         "seed": [str(s) for s in seed],
         "rows": rows,
         "estimates": [],
@@ -244,51 +216,49 @@ def cmd_sequences(cfg: RunConfig) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def cmd_root(cfg: RunConfig) -> tuple[dict, int]:
-    assert cfg.poly is not None
-    opts = _options(cfg)
-    if cfg.shift is not None:
-        est = root_via_shift(cfg.poly, cfg.shift, opts)
+def cmd_root(args: argparse.Namespace) -> tuple[dict, int]:
+    opts = _options(args)
+    if args.shift is not None:
+        est = root_via_shift(args.poly, args.shift, opts)
     else:
-        est = dominant_root(cfg.poly, opts)
+        est = dominant_root(args.poly, opts)
     doc = {
         "command": "root",
-        "polynomial": [str(c) for c in cfg.poly.with_leading()],
-        "shift": _shift_field(cfg.shift),
+        "polynomial": [str(c) for c in args.poly.with_leading()],
+        "shift": _shift_field(args.shift),
         "seed": None,
         "rows": [],
-        "estimates": [_estimate_field(est, cfg.digits)],
+        "estimates": [_estimate_field(est, args.digits)],
     }
     return doc, _STATUS_EXIT[est.status]
 
 
-def cmd_roots(cfg: RunConfig) -> tuple[dict, int]:
-    assert cfg.poly is not None
-    estimates = enumerate_real_roots(cfg.poly, _options(cfg))
+def cmd_roots(args: argparse.Namespace) -> tuple[dict, int]:
+    estimates = enumerate_real_roots(args.poly, _options(args))
     doc = {
         "command": "roots",
-        "polynomial": [str(c) for c in cfg.poly.with_leading()],
+        "polynomial": [str(c) for c in args.poly.with_leading()],
         "shift": None,
         "seed": None,
         "rows": [],
-        "estimates": [_estimate_field(e, cfg.digits) for e in estimates],
+        "estimates": [_estimate_field(e, args.digits) for e in estimates],
     }
     return doc, EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.poly is not None:
-        label = ",".join(str(c) for c in cfg.poly.with_leading())
-        if cfg.shift is not None:
-            label += f" shift {cfg.shift.a},{cfg.shift.b}"
-        cases: Sequence[BenchCase] = (BenchCase(label, cfg.poly, cfg.shift),)
+def cmd_bench(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.poly is not None:
+        label = ",".join(str(c) for c in args.poly.with_leading())
+        if args.shift is not None:
+            label += f" shift {args.shift.a},{args.shift.b}"
+        cases: Sequence[BenchCase] = (BenchCase(label, args.poly, args.shift),)
     else:
         cases = builtin_cases()
-    rows = run_bench(cases, digits=cfg.digits, runs=cfg.runs, max_iters=cfg.max_iters)
+    rows = run_bench(cases, digits=args.digits, runs=args.runs)
     doc = {
         "command": "bench",
         "polynomial": None,
-        "shift": _shift_field(cfg.shift),
+        "shift": _shift_field(args.shift),
         "seed": None,
         "rows": [asdict(row) for row in rows],
         "estimates": [],
@@ -343,22 +313,21 @@ def render_text(doc: dict) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from(args)
-    handlers: dict[str, Callable[[RunConfig], tuple[dict, int]]] = {
+    handlers: dict[str, Callable[[argparse.Namespace], tuple[dict, int]]] = {
         "sequences": cmd_sequences,
         "root": cmd_root,
         "roots": cmd_roots,
         "bench": cmd_bench,
     }
     try:
-        doc, code = handlers[cfg.command](cfg)
+        doc, code = handlers[args.command](args)
     except EstimatorMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except SeqrootsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.as_json:
+    if args.json:
         print(json.dumps(doc, indent=2))
     else:
         print(render_text(doc))

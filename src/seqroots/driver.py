@@ -1,27 +1,32 @@
 """Turn ratio sequences into root estimates.
 
 Convergence is decided on exact rational convergents: a run stops when a
-window of consecutive samples renders identically at the target precision
-AND the candidate passes an exact relative-residual test against the
-polynomial it claims to solve.  Equal-modulus dominant roots never settle;
-a non-contracting oscillation amplitude over a sliding sample window
-reports them as a tie instead of burning the whole iteration budget.
+window of consecutive samples renders to the same decimal value at the
+target precision AND the candidate passes an exact relative-residual test
+against the polynomial it claims to solve.  Equal-modulus dominant roots
+never settle; a non-contracting oscillation amplitude over a sliding
+sample window reports them as a tie instead of burning the whole
+iteration budget.
 
-Enumeration of all real roots combines two passes.  A grid of integer
-shifts spanning the root modulus bound makes each extreme real root
-dominant in turn.  Interior real roots can never dominate under a real
-affine shift (the largest shifted modulus is always attained on the convex
-hull of the root set), so remaining roots are located by exact sign-change
-scanning and extracted through an auxiliary polynomial: recentering at the
-bracket midpoint and reversing coefficients maps the nearest root to the
-dominant one, where the same ratio iteration applies; the estimate is then
-mapped back exactly.
+Enumeration of all real roots isolates, then extracts, then certifies.
+The square-free part of the polynomial is split into disjoint intervals
+that each hold one root, by Descartes' rule of signs with exact integer
+Taylor shifts and halvings (Collins & Akritas; Rouillier & Zimmermann).
+Interior real roots can never dominate under a real affine shift (the
+largest shifted modulus is always attained on the convex hull of the root
+set), so each interval is finished through an auxiliary polynomial:
+recentering at the interval midpoint and reversing coefficients maps the
+nearest root to the dominant one, where the same ratio iteration applies;
+the estimate is then mapped back exactly and kept only when exact signs of
+the polynomial place the root within the target precision of it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from operator import index as _as_int
@@ -44,15 +49,16 @@ from .sequences import SequenceFamily, init_family, shifted_family
 ESTIMATOR_CROSS = "cross-ratio"
 ESTIMATOR_SUCCESSIVE = "successive-ratio"
 ESTIMATOR_EXACT = "exact"
+ESTIMATOR_BISECTION = "bisection"
 
 TIE_SPAN = 20
 
-PROBE_BUDGET = 1500
-EXTRACT_BUDGET = 2500
-GRID_START = 512
-GRID_LIMIT = 8192
+#: An extraction run gains log10(1/rho) digits a step, where rho is the ratio
+#: of the distances from the bracket centre to its root and to the next
+#: root.  A run slower than this many steps per target digit (rho above
+#: about 0.56) stops early: bisecting the bracket further is cheaper.
+EXTRACT_STEPS_PER_DIGIT = 4
 BISECT_STEPS = 5
-BRACKET_ROUNDS = 8
 
 
 class RootStatus(Enum):
@@ -187,9 +193,9 @@ def _iterate_family(
     """
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     steps = 0
-    run_render: Optional[str] = None
+    run_render: Optional[Decimal] = None
     run_length = 0
-    rejected_render: Optional[str] = None
+    rejected_render: Optional[Decimal] = None
     recent: deque[Fraction] = deque(maxlen=2 * TIE_SPAN)
     last: Optional[Fraction] = None
     prev: Optional[Fraction] = None
@@ -203,7 +209,9 @@ def _iterate_family(
         if sample is not None:
             prev, last = last, sample
             recent.append(sample)
-            rendering = decimal_string(sample, opts.target_digits)
+            # compared as numbers: an exact sample renders short ("3") and
+            # its neighbours long ("3.00000000000")
+            rendering = Decimal(decimal_string(sample, opts.target_digits))
             if rendering == run_render:
                 run_length += 1
             else:
@@ -336,103 +344,166 @@ def root_via_shift(
 # -- enumeration --------------------------------------------------------------
 
 
-def _dedupe_tol(opts: DriverOptions) -> Fraction:
-    return Fraction(1, 10 ** max(1, opts.target_digits - 2))
+def _primitive(desc: list[int]) -> list[int]:
+    """``desc`` divided by the gcd of its coefficients, leading term positive."""
+    if not desc:
+        return desc
+    g = math.gcd(*desc)
+    if desc[0] < 0:
+        g = -g
+    return [c // g for c in desc]
 
 
-def _probe(
-    q: MonicIntPolynomial, a: int, opts: DriverOptions
-) -> Optional[RootEstimate]:
-    """Dominant-root run under shift (a, 1); None unless it converged."""
-    shift = AffineShift(a, 1)
-
-    def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
-        return shifted_family(q, shift, seed, normalized=opts.normalized)
-
-    est = _retrying(build, q, shift, opts, budget=PROBE_BUDGET)
-    return est if est.status is RootStatus.CONVERGED else None
-
-
-def _grid_phase(q: MonicIntPolynomial, opts: DriverOptions) -> list[RootEstimate]:
-    """Shift grid over the root bound, then one refinement pass between
-    adjacent shifts whose estimates disagree."""
-    bound = cauchy_bound(q)
-    tol = _dedupe_tol(opts)
-    tried: dict[int, Optional[RootEstimate]] = {}
-    for a in (-2 * bound, -bound, 0, bound, 2 * bound):
-        tried[a] = _probe(q, a, opts)
-    grid = sorted(tried)
-    refine = []
-    for lo, hi in zip(grid, grid[1:]):
-        left, right = tried[lo], tried[hi]
-        if (
-            left is not None
-            and right is not None
-            and abs(left.value - right.value) >= tol
-        ):
-            mid = (lo + hi) // 2
-            if mid not in tried:
-                refine.append(mid)
-    for a in refine:
-        tried[a] = _probe(q, a, opts)
-    return [est for est in tried.values() if est is not None]
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """``(Q, R)`` with ``lc(b)^k * a = Q*b + R`` in integers, where
+    ``k = len(a) - len(b) + 1``; ``R`` has no leading zeros ([] for 0)."""
+    r = list(a)
+    quotient: list[int] = []
+    for _ in range(len(a) - len(b) + 1):
+        lead = r[0]
+        quotient = [b[0] * c for c in quotient] + [lead]
+        r = [b[0] * c for c in r]
+        for i, c in enumerate(b):
+            r[i] -= lead * c
+        del r[0]
+    while r and r[0] == 0:
+        del r[0]
+    return quotient, r
 
 
-def _scan_signs(
-    q: MonicIntPolynomial, bound: int, cells: int
-) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """Exact sign sweep over [-bound, bound]: roots hit head-on and
-    sign-change brackets."""
+def _square_free(p: MonicIntPolynomial) -> MonicIntPolynomial:
+    """``p / gcd(p, p')``: the same roots, each simple.
+
+    The gcd comes from a primitive remainder sequence in integers.  It
+    divides the monic ``p``, so by Gauss's lemma its primitive part is
+    monic, and so is the exact quotient.
+    """
+    full = list(p.with_leading())
+    m = p.degree
+    a, b = full, [(m - i) * c for i, c in enumerate(full[:-1])]
+    while b:
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    quotient, _ = _pseudo_divide(full, _primitive(a))
+    return MonicIntPolynomial(tuple(quotient[1:]))
+
+
+def _taylor_shift_one(desc: list[int]) -> list[int]:
+    """Descending coefficients of ``P(x + 1)``."""
+    a = list(desc)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(1, n - i + 1):
+            a[j] += a[j - 1]
+    return a
+
+
+def _roots_in_unit_interval(desc: list[int]) -> int:
+    """Descartes bound on the roots of ``P`` in (0, 1), capped at 2.
+
+    The sign variations of ``(x+1)^m P(1/(x+1))`` bound the roots in (0, 1)
+    from above and share their parity, so 0 and 1 are exact counts.
+    """
+    count = 0
+    last = 0
+    for c in _taylor_shift_one(desc[::-1]):
+        if c == 0:
+            continue
+        if last and (c > 0) != (last > 0):
+            count += 1
+            if count == 2:
+                break
+        last = c
+    return count
+
+
+def _isolate(
+    q: MonicIntPolynomial,
+) -> tuple[list[Fraction], list[tuple[Fraction, Fraction, int]]]:
+    """Descartes bisection over the roots of a square-free ``q``.
+
+    Returns the roots met exactly at split points and the isolating
+    intervals ``(lo, hi, s)``: each open interval holds exactly one root,
+    and ``s`` is the sign of ``q`` just above ``lo``.  Intervals are
+    disjoint, so the roots they hold are distinct.
+
+    Every interval carries an integer polynomial ``P`` with
+    ``P(t) = c * q(lo + (hi - lo) t)`` for some ``c > 0``, so the roots of
+    ``q`` in the interval are those of ``P`` in (0, 1).  The halves are
+    ``2^m P(t/2)`` and its Taylor shift by 1.  The search starts on
+    ``(-B, B)`` for a power of two ``B >= cauchy_bound(q)``.
+    """
+    bound = 1 << (cauchy_bound(q) - 1).bit_length()
+    width = 2 * bound
+
+    def point(c: int, k: int) -> Fraction:
+        return Fraction(width * c, 1 << k) - bound
+
+    top = shift_scale(q, AffineShift(bound, 1)).with_leading()
+    m = q.degree
     exact: list[Fraction] = []
-    brackets: list[tuple[Fraction, Fraction]] = []
-    prev_x = Fraction(-bound)
-    prev_s = _sign(eval_rational(q, prev_x))
-    if prev_s == 0:
-        exact.append(prev_x)
-    for k in range(1, cells + 1):
-        x = Fraction(-bound) + Fraction(2 * bound * k, cells)
-        s = _sign(eval_rational(q, x))
-        if s == 0:
-            exact.append(x)
-        elif prev_s * s < 0:
-            brackets.append((prev_x, x))
-        prev_x, prev_s = x, s
-    return exact, brackets
+    intervals: list[tuple[Fraction, Fraction, int]] = []
+    todo = [([c * width ** (m - i) for i, c in enumerate(top)], 0, 0)]
+    while todo:
+        poly, c, k = todo.pop()
+        count = _roots_in_unit_interval(poly)
+        if count == 0:
+            continue
+        if count == 1:
+            low = next(a for a in reversed(poly) if a != 0)
+            intervals.append((point(c, k), point(c + 1, k), 1 if low > 0 else -1))
+            continue
+        left = [a << i for i, a in enumerate(poly)]
+        right = _taylor_shift_one(left)
+        if right[-1] == 0:
+            exact.append(point(2 * c + 1, k + 1))
+        todo.append((left, 2 * c, k + 1))
+        todo.append((right, 2 * c + 1, k + 1))
+    return exact, intervals
 
 
-def _stable_brackets(
-    q: MonicIntPolynomial, bound: int
-) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """Refine the sweep until the count of located roots stops changing
-    (close pairs need finer cells to separate)."""
-    cells = GRID_START
-    prev_total: Optional[int] = None
-    while True:
-        exact, brackets = _scan_signs(q, bound, cells)
-        total = len(exact) + len(brackets)
-        if total >= q.degree or total == prev_total or cells >= GRID_LIMIT:
-            return exact, brackets
-        prev_total = total
-        cells *= 2
+def _certified(
+    q: MonicIntPolynomial,
+    r: Fraction,
+    lo: Fraction,
+    hi: Fraction,
+    s_lo: int,
+    target_digits: int,
+) -> bool:
+    """Exact signs of ``q`` show that the one root in ``(lo, hi)`` lies
+    within ``|r| * 10^-target_digits`` of ``r`` (``lo < r < hi``).
+
+    ``q`` has sign ``s_lo`` below that root and ``-s_lo`` above it, so a
+    test point inside the bracket tells on which side of it the root is.
+    """
+    delta = abs(r) / 10**target_digits
+    a, b = r - delta, r + delta
+    root_above_a = a <= lo or _sign(eval_rational(q, a)) != -s_lo
+    root_below_b = b >= hi or _sign(eval_rational(q, b)) != s_lo
+    return root_above_a and root_below_b
 
 
 def _extract_bracket(
     q: MonicIntPolynomial,
     lo: Fraction,
     hi: Fraction,
+    s_lo: int,
     opts: DriverOptions,
-) -> Optional[RootEstimate]:
-    """Pull the root out of a sign-change bracket with exact arithmetic.
+) -> RootEstimate:
+    """Pull the one root of ``q`` in ``(lo, hi)`` out with exact arithmetic.
 
-    Bisection tightens the bracket; recentring at the midpoint c = u/v and
-    reversing coefficients produces a polynomial whose dominant root is
+    ``s_lo`` is the sign of ``q`` just above ``lo``.  Bisection tightens
+    the bracket; recentring at the midpoint c = u/v and reversing
+    coefficients produces a polynomial whose dominant root is
     K / (v*r - u) for the root r nearest c (K its constant term), so the
-    standard iteration applies and the estimate maps back exactly.  A tie
-    (c equidistant from two roots) tightens further and retries.
+    standard iteration applies and the estimate maps back exactly.  An
+    estimate is kept only once ``_certified`` holds; otherwise (or on a tie
+    with a complex pair nearer c) the bracket tightens and the run repeats.
+    Should the bracket pin the root down before any run does, its centre is
+    reported as a bisection estimate, so every call returns a root.
     """
-    s_lo = _sign(eval_rational(q, lo))
+    budget = EXTRACT_STEPS_PER_DIGIT * opts.target_digits + 2 * TIE_SPAN
     spent = 0
-    for _ in range(BRACKET_ROUNDS):
+    while True:
         for _ in range(BISECT_STEPS):
             mid = (lo + hi) / 2
             s = _sign(eval_rational(q, mid))
@@ -453,124 +524,61 @@ def _extract_bracket(
         def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
             return init_family(reversed_poly, seed, normalized=opts.normalized)
 
-        est = _retrying(
-            build, reversed_poly, IDENTITY_SHIFT, opts, budget=EXTRACT_BUDGET
-        )
+        est = _retrying(build, reversed_poly, IDENTITY_SHIFT, opts, budget=budget)
         spent += est.iterations
         if est.status is RootStatus.CONVERGED and est.value != 0:
             root = (u + Fraction(scale) / est.value) / v
-            if lo < root < hi and _residual_ok(q, root, opts.target_digits):
-                return RootEstimate(
-                    root,
-                    opts.target_digits,
-                    spent,
-                    RootStatus.CONVERGED,
-                    IDENTITY_SHIFT,
-                    ESTIMATOR_CROSS,
-                    est.peak_bits,
-                )
-    return None
-
-
-def _bracket_phase(
-    q: MonicIntPolynomial, opts: DriverOptions, have: list[RootEstimate]
-) -> list[RootEstimate]:
-    bound = cauchy_bound(q)
-    exact_nodes, brackets = _stable_brackets(q, bound)
-    tol = _dedupe_tol(opts)
-    found = list(have)
-    out: list[RootEstimate] = []
-
-    def known(value: Fraction) -> bool:
-        return any(abs(value - e.value) < tol for e in found)
-
-    for node in exact_nodes:
-        if not known(node):
-            est = _exact_estimate(node, opts)
-            out.append(est)
-            found.append(est)
-    for lo, hi in brackets:
-        if any(lo < e.value < hi for e in found):
-            continue
-        est = _extract_bracket(q, lo, hi, opts)
-        if est is not None and not known(est.value):
-            out.append(est)
-            found.append(est)
-    return out
-
-
-def _sign_change_near(
-    q: MonicIntPolynomial, r: Fraction, target_digits: int
-) -> bool:
-    """Exact roots pass outright; otherwise a sign change of ``q`` must show
-    up in one of a few shrinking brackets around ``r``."""
-    if eval_rational(q, r) == 0:
-        return True
-    for k in sorted({4, max(1, target_digits // 2), max(1, target_digits - 2)}):
-        d = Fraction(1, 10**k)
-        a = eval_rational(q, r - d)
-        b = eval_rational(q, r + d)
-        if a == 0 or b == 0 or _sign(a) != _sign(b):
-            return True
-    return False
-
-
-def _verify_and_dedupe(
-    q: Optional[MonicIntPolynomial],
-    estimates: list[RootEstimate],
-    opts: DriverOptions,
-) -> list[RootEstimate]:
-    kept: list[RootEstimate] = []
-    for est in estimates:
-        if est.estimator == ESTIMATOR_EXACT or est.estimator == ESTIMATOR_SUCCESSIVE:
-            kept.append(est)
-        elif (
-            q is not None
-            and _residual_ok(q, est.value, opts.target_digits)
-            and _sign_change_near(q, est.value, opts.target_digits)
-        ):
-            kept.append(est)
-    kept.sort(key=lambda e: e.value)
-    tol = _dedupe_tol(opts)
-    out: list[RootEstimate] = []
-    for est in kept:
-        if out and abs(est.value - out[-1].value) < tol:
-            if _prefer(est, out[-1]):
-                out[-1] = est
-            continue
-        out.append(est)
-    return out
-
-
-def _prefer(new: RootEstimate, old: RootEstimate) -> bool:
-    if (new.estimator == ESTIMATOR_EXACT) != (old.estimator == ESTIMATOR_EXACT):
-        return new.estimator == ESTIMATOR_EXACT
-    return new.iterations < old.iterations
+            if lo < root < hi:
+                nearest = round(root)
+                if lo < nearest < hi and eval_rational(q, nearest) == 0:
+                    return _exact_estimate(Fraction(nearest), opts, iterations=spent)
+                if _certified(q, root, lo, hi, s_lo, opts.target_digits):
+                    return RootEstimate(
+                        root,
+                        opts.target_digits,
+                        spent,
+                        RootStatus.CONVERGED,
+                        IDENTITY_SHIFT,
+                        ESTIMATOR_CROSS,
+                        est.peak_bits,
+                    )
+        if _certified(q, center, lo, hi, s_lo, opts.target_digits):
+            return RootEstimate(
+                center,
+                opts.target_digits,
+                spent,
+                RootStatus.CONVERGED,
+                IDENTITY_SHIFT,
+                ESTIMATOR_BISECTION,
+            )
 
 
 def enumerate_real_roots(
     p: MonicIntPolynomial, opts: DriverOptions = DEFAULT_OPTIONS
 ) -> list[RootEstimate]:
-    """Every verified real root of ``p``, ascending; may be empty.
+    """Every distinct real root of ``p``, ascending; may be empty.
 
-    Zero roots are deflated exactly first.  The shift grid picks up the
-    extreme real roots; sign-change brackets with the reversal transform
-    recover interior ones.  Each candidate must pass the exact residual
-    test and show a sign change nearby before it is reported.  Shifts that
-    end in a tie or run out of budget are skipped silently.
+    Zero roots are deflated exactly first, and the rest is reduced to its
+    square-free part ``q``.  Descartes bisection isolates each real root of
+    ``q`` in its own interval (or meets it exactly at a split point), and
+    ``_extract_bracket`` finishes each interval with the ratio iteration.
+    A reported value is exact, or its root is certified by exact signs of
+    ``q`` to lie within ``|value| * 10^-target_digits`` of it.
     """
     estimates: list[RootEstimate] = []
     q: Optional[MonicIntPolynomial] = p
-    zero_roots = 0
     while q is not None and q.constant_term == 0:
         q = None if q.degree == 1 else deflate_zero_root(q)
-        zero_roots += 1
-    if zero_roots:
+    if q is not p:
         estimates.append(_exact_estimate(Fraction(0), opts))
     if q is not None:
+        q = _square_free(q)
         if q.degree == 1:
             estimates.append(_linear_root(q, IDENTITY_SHIFT, opts))
         else:
-            estimates.extend(_grid_phase(q, opts))
-            estimates.extend(_bracket_phase(q, opts, estimates))
-    return _verify_and_dedupe(q, estimates, opts)
+            exact, intervals = _isolate(q)
+            estimates.extend(_exact_estimate(x, opts) for x in exact)
+            estimates.extend(
+                _extract_bracket(q, lo, hi, s_lo, opts) for lo, hi, s_lo in intervals
+            )
+    return sorted(estimates, key=lambda e: e.value)

@@ -1,9 +1,13 @@
 """Root driver: convergence, ties, shifts, enumeration, verification."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqroots import (
     AffineShift,
@@ -12,6 +16,7 @@ from seqroots import (
     RootStatus,
     dominant_root,
     enumerate_real_roots,
+    eval_rational,
     make_polynomial,
     root_via_shift,
 )
@@ -80,6 +85,13 @@ class TestDominantRoot:
         est = dominant_root(make_polynomial([1, -3, 2]))  # roots 2, 1
         assert est.converged
         assert abs(float(est.value) - 2) < 1e-10
+
+    def test_integer_root_hit_on_alternate_steps_converges(self):
+        # (x-3)(x^2+1): the cross ratio is exactly 3 on every other step and
+        # renders "3" there but "3.00000000000" in between
+        est = dominant_root(make_polynomial([1, -3, 1, -3]), DriverOptions(max_iters=400))
+        assert est.status is RootStatus.CONVERGED
+        assert est.value == 3
 
 
 class TestRootViaShift:
@@ -175,12 +187,90 @@ class TestEnumerateRealRoots:
         for got, want in zip(values, (-4.0, -2.0, 1.0, 3.0)):
             assert abs(got - want) < 1e-8
 
+    def test_run_budget_too_small_still_certifies(self):
+        # one step per run never fills the window, so the bracket alone
+        # pins each root down to the target digits
+        roots = enumerate_real_roots(QUADRATIC, DriverOptions(max_iters=1))
+        assert [e.estimator for e in roots] == ["bisection", "bisection"]
+        assert abs(float(roots[0].value) - (-1 - SQRT2)) < 1e-10
+        assert abs(float(roots[1].value) - (-1 + SQRT2)) < 1e-10
+
     def test_mixed_real_and_complex(self):
         # (x-2)(x^2+x+1): one real root among a complex pair
         p = make_polynomial([1, -1, -1, -2])
         values = [float(e.value) for e in enumerate_real_roots(p)]
         assert len(values) == 1
         assert abs(values[0] - 2.0) < 1e-9
+
+
+X = sympy.Symbol("x")
+
+#: Multiple roots, integer roots, close pairs and large coefficients.
+HARD_SET = {
+    "(x-1)^2": [1, -2, 1],
+    "(x-2)^3": [1, -6, 12, -8],
+    "(x-1)^2(x+3)": [1, 1, -5, 3],
+    "(x-1)(x-2)(x-3)(x-4)": [1, -10, 35, -50, 24],
+    "wilkinson-8": [1, -36, 546, -4536, 22449, -67284, 118124, -109584, 40320],
+    "x^2-2001x+1001000": [1, -2001, 1001000],
+    "x^4-200x^2+40x-2": [1, 0, -200, 40, -2],
+    # each once reported one root twice, 1e-10 apart
+    "x^4-4x^3+4x^2-8x-9": [1, -4, 4, -8, -9],
+    "x^4+8x^3-7x^2-x-8": [1, 8, -7, -1, -8],
+    # once reported 3 twice and 1 as 0.999999999998
+    "(x-1)(x-2)(x-3)": [1, -6, 11, -6],
+}
+HARD_CASE_SECONDS = 1.0
+
+
+def assert_exact_real_roots(coeffs: list[int], got: list) -> None:
+    """``got`` holds exactly the distinct real roots of ``coeffs``.
+
+    Integer roots (the only rational ones of a monic polynomial) must come
+    out exact.  Any other value must change the sign of the square-free
+    part across value +- |value| * 10^-digits, with the root in between.
+    """
+    digits = DriverOptions().target_digits
+    poly = sympy.Poly(coeffs, X)
+    want = sorted(set(poly.real_roots()))
+    assert len(got) == len(want), (coeffs, [e.decimal() for e in got])
+    square_free = make_polynomial([int(c) for c in poly.sqf_part().monic().all_coeffs()])
+    for est, root in zip(got, want):
+        value = est.value
+        if root.is_Integer:
+            assert value == int(root), coeffs
+            continue
+        delta = abs(value) / 10**digits
+        off = sympy.N(root - sympy.Rational(value.numerator, value.denominator), 60)
+        assert abs(off) <= sympy.Rational(delta.numerator, delta.denominator), coeffs
+        below = eval_rational(square_free, value - delta)
+        above = eval_rational(square_free, value + delta)
+        assert below * above < 0, coeffs
+
+
+class TestEnumerationHardSet:
+    """Each case well under HARD_CASE_SECONDS, so the block under 10 s."""
+
+    @pytest.mark.parametrize("coeffs", HARD_SET.values(), ids=HARD_SET.keys())
+    def test_exact_distinct_real_roots(self, coeffs):
+        started = time.perf_counter()
+        got = enumerate_real_roots(make_polynomial(coeffs))
+        assert time.perf_counter() - started < HARD_CASE_SECONDS
+        assert_exact_real_roots(coeffs, got)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        linear=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), max_size=3),
+        tail=st.lists(st.integers(-20, 20), max_size=5),
+    )
+    def test_matches_sympy(self, linear, tail):
+        # a random monic factor times repeated linear factors
+        coeffs = [1, *tail]
+        for root, multiplicity in linear:
+            for _ in range(multiplicity):
+                coeffs = [a - root * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        if len(coeffs) > 1:
+            assert_exact_real_roots(coeffs, enumerate_real_roots(make_polynomial(coeffs)))
 
 
 class TestEstimateFields:
