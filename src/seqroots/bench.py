@@ -3,8 +3,10 @@
 Each case is timed as a median over several runs: once driving the integer
 recurrence to the requested digit count, once running the floating-point
 simultaneous iteration plus a Newton polish of the targeted root.  The
-report states times, iteration counts, and the peak integer bit width the
-exact side touched; it draws no conclusion about which side should win.
+report states times, iteration counts, the peak integer bit width the
+exact side touched and the exact run's status (a run that did not converge
+shows ``-`` for its value); it draws no conclusion about which side should
+win.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ class BenchRow:
     exact_iterations: int
     exact_peak_bits: int
     exact_value: str
+    exact_status: str
     float_seconds: float
     float_iterations: int
     float_value: str
@@ -107,7 +110,8 @@ def run_bench(
                 exact_seconds=exact_seconds,
                 exact_iterations=est.iterations,
                 exact_peak_bits=est.peak_bits,
-                exact_value=est.decimal(shown),
+                exact_value=est.decimal(shown) if est.converged else "-",
+                exact_status=est.status.value,
                 float_seconds=float_seconds,
                 float_iterations=float_iters,
                 float_value=f"{x:.{shown}g}",
@@ -123,6 +127,7 @@ _COLUMNS = (
     ("exact iters", "exact_iterations"),
     ("peak bits", "exact_peak_bits"),
     ("exact value", "exact_value"),
+    ("exact status", "exact_status"),
     ("float s", "float_seconds"),
     ("float iters", "float_iterations"),
     ("float value", "float_value"),

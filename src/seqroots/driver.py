@@ -8,6 +8,17 @@ never settle; a non-contracting oscillation amplitude over a sliding
 sample window reports them as a tie instead of burning the whole
 iteration budget.
 
+The loop around the recurrence stays in the integers.  A sample is the
+pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
+compare by cross-multiplying.  The tie test keeps monotone deques of the
+largest and smallest of the newer half of its window; the older half is
+the newer half of ``TIE_SPAN`` steps before, so a step costs amortised
+O(1) comparisons and the two spreads compare in one inequality.
+Samples are rendered only when two consecutive ones can render equal:
+renderings that coincide at D significant digits satisfy
+``|x - y| * 10^(D-1) <= 2 * max(|x|, |y|)``, and a pair that fails this
+integer test resets the run without a ``Fraction`` or a ``Decimal``.
+
 Enumeration of all real roots isolates, then extracts, then certifies.
 The square-free part of the polynomial is split into disjoint intervals
 that each hold one root, by Descartes' rule of signs with exact integer
@@ -119,10 +130,72 @@ def _residual_ok(p: MonicIntPolynomial, r: Fraction, target_digits: int) -> bool
     return res * 10**half < scale
 
 
-def _agreement(last: Optional[Fraction], prev: Optional[Fraction]) -> int:
-    if last is None or prev is None:
-        return 0
-    return agreement_digits(last, prev)
+#: A ratio sample ``n / d`` as the integer pair ``(n, d)`` with ``d > 0``.
+Sample = tuple[int, int]
+
+
+def _may_render_equal(x: Sample, y: Sample, scale: int) -> bool:
+    """False only if ``x`` and ``y`` render differently at D significant
+    digits, where ``scale = 10^(D-1)``.
+
+    Equal renderings ``r`` give ``|x - y| <= ulp(r) <= 10^(1-D) * |r|`` and
+    ``|r| <= 2 * max(|x|, |y|)``; multiplied out by both denominators.
+    """
+    a = x[0] * y[1]
+    b = y[0] * x[1]
+    return abs(a - b) * scale <= 2 * max(abs(a), abs(b))
+
+
+class _TieWindow:
+    """Exact tie test over the last ``2 * span`` samples.
+
+    ``push`` reports a tie once the window is full and the spread
+    ``max - min`` of the newer ``span`` samples is at least that of the
+    older ``span``.  The older half is the newer half of ``span`` pushes
+    ago, so one pair of deques suffices: candidates for the maximum and the
+    minimum of the newer half (indices ascending, values monotone), at an
+    amortised O(1) cross-multiplied comparisons a push, and the newer
+    half's spread after each of the last ``span + 1`` pushes.
+    """
+
+    def __init__(self, span: int = TIE_SPAN) -> None:
+        self.span = span
+        self.count = 0
+        self._largest: deque[tuple[int, int, int]] = deque()
+        self._smallest: deque[tuple[int, int, int]] = deque()
+        # (num, den) of each spread, den > 0
+        self._spreads: deque[tuple[int, int]] = deque(maxlen=span + 1)
+
+    @staticmethod
+    def _enter(
+        candidates: deque[tuple[int, int, int]], k: int, n: int, d: int,
+        oldest: int, largest: bool,
+    ) -> None:
+        # drop every candidate the new sample outlasts and matches or beats
+        while candidates:
+            _, cn, cd = candidates[-1]
+            if (cn * d <= n * cd) if largest else (cn * d >= n * cd):
+                candidates.pop()
+            else:
+                break
+        candidates.append((k, n, d))
+        if candidates[0][0] < oldest:
+            candidates.popleft()
+
+    def push(self, n: int, d: int) -> bool:
+        k = self.count
+        self.count += 1
+        oldest = k - self.span + 1
+        self._enter(self._largest, k, n, d, oldest, True)
+        self._enter(self._smallest, k, n, d, oldest, False)
+        _, a, b = self._largest[0]
+        _, c, e = self._smallest[0]
+        self._spreads.append((a * e - c * b, b * e))
+        if self.count < 2 * self.span:
+            return False
+        num, den = self._spreads[-1]
+        older_num, older_den = self._spreads[0]
+        return num * older_den >= older_num * den
 
 
 def _exact_estimate(
@@ -190,69 +263,87 @@ def _iterate_family(
     ``target`` is the polynomial whose root the cross ratios approach (the
     original one when the family runs under a shift); residuals are checked
     against it.  ``budget`` caps steps below ``opts.max_iters`` if given.
+
+    A step reads its sample as an integer pair (a zero denominator skips
+    it) and feeds the exact ``_TieWindow``.  A run of equal renderings grows
+    only while ``_may_render_equal`` admits the last two samples; only then,
+    or once the run is long enough to settle, are they rendered, and only
+    a rendered, accepted or returned sample becomes a ``Fraction``.
     """
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
+    digits = opts.target_digits
+    scale = 10 ** (digits - 1)
     steps = 0
-    run_render: Optional[Decimal] = None
     run_length = 0
+    # rendering of ``last``, or None while it has not been needed
+    last_render: Optional[Decimal] = None
     rejected_render: Optional[Decimal] = None
-    recent: deque[Fraction] = deque(maxlen=2 * TIE_SPAN)
-    last: Optional[Fraction] = None
-    prev: Optional[Fraction] = None
+    tie = _TieWindow()
+    last: Optional[Sample] = None
+    prev: Optional[Sample] = None
+
+    def render(value: Fraction) -> Decimal:
+        # compared as numbers: an exact sample renders short ("3") and its
+        # neighbours long ("3.00000000000")
+        return Decimal(decimal_string(value, digits))
 
     while True:
-        sample: Optional[Fraction] = None
-        try:
-            sample = family.cross_ratio(1).value
-        except ZeroDenominatorError:
-            pass
-        if sample is not None:
-            prev, last = last, sample
-            recent.append(sample)
-            # compared as numbers: an exact sample renders short ("3") and
-            # its neighbours long ("3.00000000000")
-            rendering = Decimal(decimal_string(sample, opts.target_digits))
-            if rendering == run_render:
-                run_length += 1
+        vec = family.current
+        n, d = vec[0], vec[1]
+        if d:
+            if d < 0:
+                n, d = -n, -d
+            prev, last = last, (n, d)
+            value: Optional[Fraction] = None
+            rendering: Optional[Decimal] = None
+            if prev is not None and _may_render_equal(prev, last, scale):
+                if last_render is None:
+                    last_render = render(Fraction(*prev))
+                value = family.cross_ratio(1).value
+                rendering = render(value)
+                run_length = run_length + 1 if rendering == last_render else 1
             else:
-                run_render, run_length = rendering, 1
-            if run_length >= opts.window and rendering != rejected_render:
-                if _residual_ok(target, sample, opts.target_digits):
-                    if successive_check is not None:
-                        _check_successive(family, successive_check, sample, opts)
-                    return RootEstimate(
-                        sample,
-                        opts.target_digits,
-                        steps,
-                        RootStatus.CONVERGED,
-                        shift_used,
-                        ESTIMATOR_CROSS,
-                        family.peak_bits,
-                    )
-                # A settled rendering that is not a root: remember it so the
-                # residual is not re-evaluated every step, and keep going
-                # until the tie detector or the budget speaks.
-                rejected_render = rendering
-            if len(recent) == 2 * TIE_SPAN:
-                samples = list(recent)
-                older, newer = samples[:TIE_SPAN], samples[TIE_SPAN:]
-                if max(newer) - min(newer) >= max(older) - min(older):
-                    # no digit of the root is actually known in a tie: a
-                    # stalled-but-rejected constant would otherwise report
-                    # perfect agreement
-                    return RootEstimate(
-                        sample,
-                        0,
-                        steps,
-                        RootStatus.TIE_DETECTED,
-                        shift_used,
-                        ESTIMATOR_CROSS,
-                        family.peak_bits,
-                    )
+                run_length = 1
+            if run_length >= opts.window:
+                if value is None:
+                    value = family.cross_ratio(1).value
+                    rendering = render(value)
+                if rendering != rejected_render:
+                    if _residual_ok(target, value, digits):
+                        if successive_check is not None:
+                            _check_successive(family, successive_check, value, opts)
+                        return RootEstimate(
+                            value,
+                            digits,
+                            steps,
+                            RootStatus.CONVERGED,
+                            shift_used,
+                            ESTIMATOR_CROSS,
+                            family.peak_bits,
+                        )
+                    # A settled rendering that is not a root: remember it so
+                    # the residual is not re-evaluated every step, and keep
+                    # going until the tie detector or the budget speaks.
+                    rejected_render = rendering
+            last_render = rendering
+            if tie.push(n, d):
+                # no digit of the root is actually known in a tie: a
+                # stalled-but-rejected constant would otherwise report
+                # perfect agreement
+                return RootEstimate(
+                    family.cross_ratio(1).value if value is None else value,
+                    0,
+                    steps,
+                    RootStatus.TIE_DETECTED,
+                    shift_used,
+                    ESTIMATOR_CROSS,
+                    family.peak_bits,
+                )
         if steps >= limit:
+            last_value = Fraction(0) if last is None else Fraction(*last)
             return RootEstimate(
-                last if last is not None else Fraction(0),
-                _agreement(last, prev),
+                last_value,
+                0 if prev is None else agreement_digits(last_value, Fraction(*prev)),
                 steps,
                 RootStatus.MAX_ITERS_EXCEEDED,
                 shift_used,
@@ -261,7 +352,7 @@ def _iterate_family(
             )
         family.step()
         steps += 1
-        if all(c == 0 for c in family.current):
+        if not any(family.current):
             return RootEstimate(
                 Fraction(0),
                 0,

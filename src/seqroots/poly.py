@@ -123,12 +123,19 @@ def make_polynomial(
 
 
 def eval_rational(p: MonicIntPolynomial, x: Rational) -> Fraction:
-    """Exact value of ``p`` at a rational point (Horner, no rounding)."""
+    """Exact value of ``p`` at a rational point (Horner, no rounding).
+
+    For ``x = u/v`` in lowest terms the homogeneous Horner scheme computes
+    ``v^m p(u/v)`` in integers; one ``Fraction`` is built at the end.
+    """
     x = Fraction(x)
-    acc = Fraction(1)
+    u, v = x.numerator, x.denominator
+    acc = 1
+    power = 1
     for a in p.coeffs:
-        acc = acc * x + a
-    return acc
+        power *= v
+        acc = acc * u + a * power
+    return Fraction(acc, power)
 
 
 def cauchy_bound(p: MonicIntPolynomial) -> int:

@@ -163,6 +163,25 @@ class TestBenchCommand:
         assert row["exact_peak_bits"] > 0
         assert row["exact_seconds"] >= 0.0
 
+    def test_tied_run_shows_status_and_no_value(self, capsys):
+        # under shift 1,1 the roots -1 +- sqrt(2) map to +-sqrt(2): a tie
+        args = ["bench", "--poly", "1,2,-1", "--shift", "1,1", "--runs", "5"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        header, row = out.strip().splitlines()
+        assert "exact status" in header
+        cells = row.split()
+        assert "tie-detected" in cells
+        assert cells[cells.index("tie-detected") - 1] == "-"
+        _, raw, _ = run_cli(capsys, *args, "--json")
+        (doc_row,) = json.loads(raw)["rows"]
+        assert doc_row["exact_status"] == "tie-detected"
+        assert doc_row["exact_value"] == "-"
+        _, raw, _ = run_cli(capsys, "bench", "--poly", "1,2,-1", "--json")
+        (doc_row,) = json.loads(raw)["rows"]
+        assert doc_row["exact_status"] == "converged"
+        assert doc_row["exact_value"] == "-2.41421356237"
+
 
 class TestUsageErrors:
     def test_non_monic_polynomial(self, capsys):

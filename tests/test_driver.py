@@ -2,6 +2,7 @@
 
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from seqroots import (
     make_polynomial,
     root_via_shift,
 )
+from seqroots.driver import TIE_SPAN, _may_render_equal, _TieWindow
+from seqroots.render import decimal_string
 
 SQRT2 = math.sqrt(2)
 CBRT2 = 2 ** (1 / 3)
@@ -223,14 +226,15 @@ HARD_SET = {
 HARD_CASE_SECONDS = 1.0
 
 
-def assert_exact_real_roots(coeffs: list[int], got: list) -> None:
+def assert_exact_real_roots(
+    coeffs: list[int], got: list, digits: int = DriverOptions().target_digits
+) -> None:
     """``got`` holds exactly the distinct real roots of ``coeffs``.
 
     Integer roots (the only rational ones of a monic polynomial) must come
     out exact.  Any other value must change the sign of the square-free
     part across value +- |value| * 10^-digits, with the root in between.
     """
-    digits = DriverOptions().target_digits
     poly = sympy.Poly(coeffs, X)
     want = sorted(set(poly.real_roots()))
     assert len(got) == len(want), (coeffs, [e.decimal() for e in got])
@@ -271,6 +275,126 @@ class TestEnumerationHardSet:
                 coeffs = [a - root * b for a, b in zip(coeffs + [0], [0] + coeffs)]
         if len(coeffs) > 1:
             assert_exact_real_roots(coeffs, enumerate_real_roots(make_polynomial(coeffs)))
+
+
+class TestTieWindow:
+    """The integer sliding window decides as max/min over Fractions would."""
+
+    @staticmethod
+    def reference(stream: list[tuple[int, int]], span: int) -> list[bool]:
+        values = [Fraction(n, d) for n, d in stream]
+        out = []
+        for k in range(len(values)):
+            if k + 1 < 2 * span:
+                out.append(False)
+                continue
+            older = values[k + 1 - 2 * span : k + 1 - span]
+            newer = values[k + 1 - span : k + 1]
+            out.append(max(newer) - min(newer) >= max(older) - min(older))
+        return out
+
+    # small numerators and denominators times a common factor: repeats, equal
+    # values written differently, negatives and zero
+    small = st.builds(
+        lambda n, d, k: (n * k, d * k),
+        st.integers(-4, 4), st.integers(1, 3), st.integers(1, 3),
+    )
+    large = st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        stream=st.lists(st.one_of(small, large), min_size=1, max_size=130),
+        span=st.one_of(st.just(TIE_SPAN), st.integers(1, 6)),
+    )
+    def test_matches_fraction_max_min(self, stream, span):
+        window = _TieWindow(span)
+        assert [window.push(n, d) for n, d in stream] == self.reference(stream, span)
+
+    def test_constant_stream_ties_once_full(self):
+        window = _TieWindow()
+        got = [window.push(2 * k, k) for k in range(1, 2 * TIE_SPAN + 1)]
+        assert got == [False] * (2 * TIE_SPAN - 1) + [True]
+
+
+class TestRenderPrefilter:
+    """A pair the prefilter rejects never renders equal."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        digits=st.integers(1, 40),
+        n=st.integers(-(10**6), 10**6),
+        d=st.integers(1, 10**6),
+        power=st.integers(0, 45),
+        nudge=st.integers(-50, 50),
+    )
+    def test_never_skips_equal_renderings(self, digits, n, d, power, nudge):
+        # y is x moved by nudge / (d * 10^power): near x, often rendering equal
+        x = (n, d)
+        y = (n * 10**power + nudge, d * 10**power)
+        scale = 10 ** (digits - 1)
+        rendered = [Decimal(decimal_string(Fraction(*v), digits)) for v in (x, y)]
+        if rendered[0] == rendered[1]:
+            assert _may_render_equal(x, y, scale)
+            assert _may_render_equal(y, x, scale)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        digits=st.integers(1, 40),
+        lowest=st.booleans(),
+        mantissa=st.integers(0, 10**40),
+        exponent=st.integers(-30, 30),
+        offsets=st.lists(
+            st.one_of(
+                st.sampled_from([Fraction(-1, 2), Fraction(1, 2)]),
+                st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2)),
+            ),
+            min_size=2, max_size=2,
+        ),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_never_skips_equal_renderings_at_the_rounding_edges(
+        self, digits, lowest, mantissa, exponent, offsets, sign
+    ):
+        # x and y within half a unit of one D-digit rendering r: up to one
+        # unit apart, and with the smallest mantissa as far apart as |r| allows
+        low = 10 ** (digits - 1)
+        m = low if lowest else low + mantissa % (9 * low)
+        unit = Fraction(10) ** exponent
+        x, y = (sign * (m + t) * unit for t in offsets)
+        pairs = [(v.numerator, v.denominator) for v in (x, y)]
+        rendered = [Decimal(decimal_string(v, digits)) for v in (x, y)]
+        if rendered[0] == rendered[1]:
+            assert _may_render_equal(*pairs, 10 ** (digits - 1))
+
+    def test_rejects_far_apart_samples(self):
+        assert not _may_render_equal((3, 2), (7, 5), 10**11)
+        assert _may_render_equal((3, 1), (3 * 10**12 + 1, 10**12), 10**11)
+
+
+class TestRegressionPins:
+    """Step counts and decisions that the integer inner loop must keep."""
+
+    @pytest.mark.parametrize(
+        "digits, steps", [(12, 39), (30, 102), (60, 203), (120, 410)]
+    )
+    def test_cube_root_via_shift_steps(self, digits, steps):
+        est = root_via_shift(CUBIC, AffineShift(1, 1), DriverOptions(target_digits=digits))
+        assert est.status is RootStatus.CONVERGED
+        assert est.iterations == steps
+
+    def test_unshifted_cube_root_ties_after_119_steps(self):
+        est = dominant_root(CUBIC)
+        assert est.status is RootStatus.TIE_DETECTED
+        assert est.iterations == 119
+
+    def test_wide_bracket_degree_11_at_30_digits(self):
+        # (x+19)(x+20)^2(x+10)^3 (x^5+32x^4-6x^3-23x^2-23x-39): a wide first
+        # bracket, where failed extraction rounds once dominated
+        coeffs = [1, 121, 6072, 163903, 2568750, 23317024, 112386939, 206423730,
+                  -141707900, -278685000, -308960000, -296400000]
+        got = enumerate_real_roots(make_polynomial(coeffs), DriverOptions(target_digits=30))
+        assert len(got) == 6
+        assert_exact_real_roots(coeffs, got, digits=30)
 
 
 class TestEstimateFields:

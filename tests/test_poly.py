@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqroots import (
     AffineShift,
@@ -70,6 +72,26 @@ class TestEvalRational:
         p = make_polynomial([1, -3, 2])
         assert eval_rational(p, 1) == 0
         assert eval_rational(p, 2) == 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12)),
+            min_size=1, max_size=9,
+        ),
+        x=st.one_of(
+            st.integers(-(10**9), 10**9),
+            st.fractions(max_denominator=10**15),
+            st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+        ),
+    )
+    def test_matches_fraction_horner(self, coeffs, x):
+        expected = Fraction(1)
+        for a in coeffs:
+            expected = expected * x + a
+        got = eval_rational(MonicIntPolynomial(tuple(coeffs)), x)
+        assert isinstance(got, Fraction)
+        assert got == expected
 
 
 class TestAffineShift:
