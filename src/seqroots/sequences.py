@@ -1,28 +1,33 @@
 """Integer sequence families driven by an m-term recurrence.
 
 Given a monic integer polynomial of degree ``m``, the family consists of
-``m`` integer sequences advanced together.  The first ``m`` state vectors
-are ``S_0, M S_0, ..., M^(m-1) S_0`` for an iteration matrix ``M`` whose
-characteristic polynomial is the given polynomial (the companion matrix by
-default, or an affine image of one); beyond that each new vector obeys
+``m`` integer sequences advanced together: the state vectors are
+``S_j = M^j S_0`` for an iteration matrix ``M = a*I + b*C`` whose
+characteristic polynomial is the given polynomial, ``C`` a companion
+matrix (the companion matrix of the polynomial itself by default, with
+``a = 0`` and ``b = 1``, or an affine image of the companion matrix of
+another polynomial).  Because all rows of ``M`` but the first are ``b`` on
+the subdiagonal and ``a`` on the diagonal, one step is a single dot
+product of the first row with the current vector, which gives the new
+first component, plus a shift of the others:
 
-    S_j = -a_1 S_(j-1) - a_2 S_(j-2) - ... - a_m S_(j-m)
+    S_(j+1)[0] = M[0] . S_j,    S_(j+1)[i] = a*S_j[i] + b*S_j[i-1]
 
-componentwise, which continues the matrix iteration exactly.  Component
-ratios of these vectors converge to roots: the ratio of adjacent
-components at a fixed step tends to the root whose (possibly shifted)
-image dominates in absolute value, and the step-over-step ratio within one
-sequence tends to that dominant image itself.
+For the companion matrix itself the shift is a plain copy, and the first
+component obeys the scalar recurrence
+``s_(j+1) = -a_1 s_j - a_2 s_(j-1) - ... - a_m s_(j-m+1)``; the m sequences
+are then one sequence read at m offsets.  Component ratios of these vectors
+converge to roots: the ratio of adjacent components at a fixed step tends
+to the root whose (possibly shifted) image dominates in absolute value, and
+the step-over-step ratio within one sequence tends to that dominant image
+itself.
 
-Two stepping modes are supported:
-
-* exact (default): the recurrence is applied verbatim; vectors equal
-  ``M^j S_0`` exactly and reproduce reference tables digit for digit.
-* normalized: each new vector is ``M v`` divided by the gcd of its
-  components.  Every stored vector is the exact one divided by a positive
-  integer, so same-step component ratios are unchanged while growth of the
-  common content is suppressed.  Step-over-step ratios are meaningless in
-  this mode and are refused.
+A family is either exact (default), storing ``M^j S_0`` exactly, or
+normalized, storing each ``M v`` divided by the gcd of its components.
+Every normalized vector is the exact one divided by a positive integer, so
+same-step component ratios are unchanged while growth of the common content
+is suppressed.  Step-over-step ratios are meaningless in this mode and are
+refused.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .companion import CompanionMatrix, IntVector, affine, companion_of, mat_vec
@@ -63,7 +69,10 @@ class SequenceFamily:
     """Mutable, single-owner state machine over the m sequences.
 
     Distinct families share nothing and may run concurrently; a single
-    family must not be stepped from two tasks at once.
+    family must not be stepped from two tasks at once.  A ``matrix`` given
+    to the constructor must have the form ``a*I + b*C`` described above
+    (``ValueError`` otherwise), and its characteristic polynomial must be
+    ``poly``.
     """
 
     def __init__(
@@ -91,7 +100,10 @@ class SequenceFamily:
         self.poly = poly
         self.matrix = matrix
         self.normalized = normalized
-        self._neg_coeffs = tuple(-a for a in poly.coeffs)
+        self._m = m
+        self._top = tuple(matrix.rows[0])
+        self._a, self._b = _affine_part(matrix)
+        self._plain = (self._a, self._b) == (0, 1)
         self._window: list[IntVector] = []
         self._history: Optional[list[IntVector]] = [] if keep_history else None
         self.peak_bits = 0
@@ -106,7 +118,7 @@ class SequenceFamily:
 
     @property
     def degree(self) -> int:
-        return self.poly.degree
+        return self._m
 
     @property
     def current(self) -> IntVector:
@@ -123,11 +135,11 @@ class SequenceFamily:
             if g > 1:
                 vec = tuple(c // g for c in vec)
         self._window.append(vec)
-        if len(self._window) > self.degree:
+        if len(self._window) > self._m:
             del self._window[0]
         if self._history is not None:
             self._history.append(vec)
-        bits = max(c.bit_length() for c in vec)
+        bits = max(map(int.bit_length, vec))
         if bits > self.peak_bits:
             self.peak_bits = bits
 
@@ -147,18 +159,16 @@ class SequenceFamily:
     # -- advancing --------------------------------------------------------
 
     def step(self) -> None:
-        """Advance by one index (recurrence in exact mode, ``M v / gcd`` normalized)."""
-        m = self.degree
-        if self.normalized:
-            new = mat_vec(self.matrix, self._window[-1])
+        """Advance by one index: the new vector is ``M v`` for the current ``v``
+        (divided by its gcd in normalized mode), computed as one dot product
+        with the first row of ``M`` plus the shift ``a*v[i] + b*v[i-1]``."""
+        v = self._window[-1]
+        head = sum(map(mul, self._top, v))
+        if self._plain:
+            new = (head,) + v[:-1]
         else:
-            new = tuple(
-                sum(
-                    self._neg_coeffs[k] * self._window[-1 - k][c]
-                    for k in range(m)
-                )
-                for c in range(m)
-            )
+            a, b = self._a, self._b
+            new = (head, *[a * x + b * y for x, y in zip(v[1:], v)])
         self.j += 1
         self._store(new)
 
@@ -209,6 +219,25 @@ class SequenceFamily:
         if prev == 0:
             raise ZeroDenominatorError(f"sequence {i} is zero at step {j - 1}")
         return Convergent(Fraction(cur, prev))
+
+
+def _affine_part(matrix: CompanionMatrix) -> tuple[int, int]:
+    """``(a, b)`` for a matrix whose rows below the first are ``b`` on the
+    subdiagonal, ``a`` on the diagonal and zero elsewhere, as in
+    ``a*I + b*C`` for a companion matrix ``C``; ``(0, 1)`` at dimension 1."""
+    rows = matrix.rows
+    m = len(rows)
+    if m == 1:
+        return 0, 1
+    b, a = rows[1][0], rows[1][1]
+    for i in range(1, m):
+        expected = tuple(b if k == i - 1 else a if k == i else 0 for k in range(m))
+        if tuple(rows[i]) != expected:
+            raise ValueError(
+                f"matrix row {i} is {rows[i]}; rows below the first must be "
+                f"{b} on the subdiagonal, {a} on the diagonal and 0 elsewhere"
+            )
+    return a, b
 
 
 def init_family(

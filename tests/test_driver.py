@@ -387,6 +387,20 @@ class TestRegressionPins:
         assert est.status is RootStatus.TIE_DETECTED
         assert est.iterations == 119
 
+    @pytest.mark.parametrize(
+        "coeffs, shift, rendered, steps, bits",
+        [
+            ([1, -7, 6, 5, 0, -3, -2], (-3, 1), "-0.588260395423", 433, 805),
+            ([1, -2, -8, 1, 4, 9, 6], (-1, 1), "-2.04017544283", 515, 833),
+            ([1, -1, 1, -1, -2], None, "1.44685724791", 464, 248),
+        ],
+    )
+    def test_long_runs_keep_steps_and_peak_bits(self, coeffs, shift, rendered, steps, bits):
+        p = make_polynomial(coeffs)
+        est = root_via_shift(p, AffineShift(*shift)) if shift else dominant_root(p)
+        assert est.status is RootStatus.CONVERGED
+        assert (est.decimal(), est.iterations, est.peak_bits) == (rendered, steps, bits)
+
     def test_wide_bracket_degree_11_at_30_digits(self):
         # (x+19)(x+20)^2(x+10)^3 (x^5+32x^4-6x^3-23x^2-23x-39): a wide first
         # bracket, where failed extraction rounds once dominated

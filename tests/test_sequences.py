@@ -5,17 +5,24 @@ row, plus decimal renderings of the ratio columns where those are
 unambiguous at the table's precision.
 """
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqroots import (
     AffineShift,
+    CompanionMatrix,
     DimensionMismatchError,
     NormalizedModeUnsupportedError,
     OutOfRangeError,
     ZeroDenominatorError,
+    SequenceFamily,
     ZeroSeedError,
+    affine,
     companion_of,
     init_family,
     make_polynomial,
@@ -172,6 +179,19 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             init_family(QUADRATIC, matrix=companion_of(CUBIC))
 
+    def test_matrix_not_shifted_companion_rejected(self):
+        # the step reads rows below the first as a*I + b*C; a dense matrix
+        # with an entry below the subdiagonal has no such form
+        dense = CompanionMatrix(((0, 0, 2), (1, 0, 0), (1, 1, 0)))
+        with pytest.raises(ValueError):
+            SequenceFamily(CUBIC, matrix=dense)
+
+    def test_degree_one_family(self):
+        fam = init_family(make_polynomial([1, -3]), keep_history=True)
+        fam.run_to(20)
+        assert [fam.term(1, j) for j in range(21)] == [3**j for j in range(21)]
+        assert fam.successive_ratio(1).value == 3
+
     def test_window_holds_degree_vectors(self):
         fam = init_family(CUBIC)
         assert len(fam.window) == 3
@@ -266,3 +286,81 @@ class TestShiftInvariantCrossRatios:
         assert abs(float(r_shift) - 0.41421356237) < 1e-9
         step = shifted.successive_ratio(1, 40).value  # -> 2 + r_shift
         assert abs(float(step) - (2 + 0.41421356237)) < 1e-9
+
+
+
+def _matrix_orbit(matrix, seed, steps):
+    vecs = [tuple(seed)]
+    for _ in range(steps):
+        vecs.append(mat_vec(matrix, vecs[-1]))
+    return vecs
+
+
+def _recurrence_orbit(poly, matrix, seed, steps):
+    """Reference for exact mode: the first m vectors by matrix products, then
+    ``S_j = -a_1 S_(j-1) - ... - a_m S_(j-m)`` componentwise."""
+    m = poly.degree
+    vecs = _matrix_orbit(matrix, seed, m - 1)
+    for j in range(m, steps + 1):
+        vecs.append(
+            tuple(
+                -sum(a * vecs[j - 1 - k][c] for k, a in enumerate(poly.coeffs))
+                for c in range(m)
+            )
+        )
+    return vecs
+
+
+def _content_free(vec):
+    g = math.gcd(*vec) or 1
+    return tuple(c // g for c in vec)
+
+
+@st.composite
+def _families(draw):
+    m = draw(st.integers(1, 8))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    seed = draw(
+        st.lists(st.integers(-9, 9), min_size=m, max_size=m).filter(any)
+    )
+    shift = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                AffineShift, st.integers(-5, 5), st.sampled_from([1, 2, 3, -1, -2, -3])
+            ),
+        )
+    )
+    return make_polynomial([1] + coeffs), shift, seed
+
+
+class TestStepEqualsMatrixOrbit:
+    """The step (one dot product and a shift) computes ``M v`` exactly."""
+
+    STEPS = 60
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(family=_families(), normalized=st.booleans(), keep_history=st.booleans())
+    def test_vectors_and_peak_bits(self, family, normalized, keep_history):
+        poly, shift, seed = family
+        if shift is None:
+            fam = init_family(poly, seed, normalized=normalized, keep_history=keep_history)
+            matrix = companion_of(poly)
+        else:
+            fam = shifted_family(
+                poly, shift, seed, normalized=normalized, keep_history=keep_history
+            )
+            matrix = affine(companion_of(poly), shift)
+        orbit = _matrix_orbit(matrix, seed, self.STEPS)
+        if normalized:
+            orbit = [_content_free(v) for v in orbit]
+        else:
+            assert orbit == _recurrence_orbit(fam.poly, matrix, seed, self.STEPS)
+        peaks = list(accumulate((max(c.bit_length() for c in v) for v in orbit), max))
+        for j, expected in enumerate(orbit):
+            fam.run_to(j)
+            assert fam.vector(j) == expected, f"step {j}"
+            # the constructor stores the first m vectors, so fam.j >= m - 1
+            assert fam.peak_bits == peaks[fam.j], f"step {j}"
+        if keep_history:
+            assert [fam.vector(j) for j in range(self.STEPS + 1)] == orbit
