@@ -103,7 +103,6 @@ class SequenceFamily:
         self._m = m
         self._top = tuple(matrix.rows[0])
         self._a, self._b = _affine_part(matrix)
-        self._plain = (self._a, self._b) == (0, 1)
         self._window: list[IntVector] = []
         self._history: Optional[list[IntVector]] = [] if keep_history else None
         self.peak_bits = 0
@@ -163,12 +162,9 @@ class SequenceFamily:
         (divided by its gcd in normalized mode), computed as one dot product
         with the first row of ``M`` plus the shift ``a*v[i] + b*v[i-1]``."""
         v = self._window[-1]
+        a, b = self._a, self._b
         head = sum(map(mul, self._top, v))
-        if self._plain:
-            new = (head,) + v[:-1]
-        else:
-            a, b = self._a, self._b
-            new = (head, *[a * x + b * y for x, y in zip(v[1:], v)])
+        new = (head, *[a * x + b * y for x, y in zip(v[1:], v)])
         self.j += 1
         self._store(new)
 

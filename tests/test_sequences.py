@@ -151,8 +151,8 @@ class TestGoldenShiftedCubic:
             assert fam.cross_ratio(2, j).decimal(7) == r2
 
     def test_recurrence_continues_matrix_iteration(self):
-        # the exact-mode stepper uses the three-term recurrence; the first
-        # window comes from matrix products; both must describe one orbit
+        # every stored vector, the first window and every later step alike,
+        # lies on the orbit of the iteration matrix
         fam = shifted_family(CUBIC, AffineShift(1, 1), seed=[1, 1, 0], keep_history=True)
         fam.run_to(25)
         matrix = fam.matrix
