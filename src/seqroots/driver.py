@@ -1,12 +1,14 @@
 """Turn ratio sequences into root estimates.
 
-Convergence is decided on exact rational convergents: a run stops when a
-window of consecutive samples renders to the same decimal value at the
-target precision AND the candidate passes an exact relative-residual test
-against the polynomial it claims to solve.  Equal-modulus dominant roots
-never settle; a non-contracting oscillation amplitude over a sliding
-sample window reports them as a tie instead of burning the whole
-iteration budget.
+Convergence is decided on exact rational convergents.  In
+``dominant_root`` and ``root_via_shift`` a run stops when a window of
+consecutive samples renders to the same decimal value at the target
+precision AND the candidate passes an exact relative-residual test against
+the polynomial it claims to solve; enumeration renders nothing, checks no
+residual and accepts on its certificate alone (below).  Equal-modulus
+dominant roots never settle; a non-contracting oscillation amplitude over
+a sliding sample window reports them as a tie instead of burning the
+whole iteration budget.
 
 The loop around the recurrence stays in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
@@ -27,9 +29,12 @@ Interior real roots can never dominate under a real affine shift (the
 largest shifted modulus is always attained on the convex hull of the root
 set), so each interval is finished through an auxiliary polynomial:
 recentering at the interval midpoint and reversing coefficients maps the
-nearest root to the dominant one, where the same ratio iteration applies;
-the estimate is then mapped back exactly and kept only when exact signs of
-the polynomial place the root within the target precision of it.
+nearest root to the dominant one, where the same ratio iteration applies.
+Each sample the render prefilter admits is mapped back exactly and kept
+once exact signs of the polynomial place the root within the target
+precision of it.  Brackets are integers over a power of two and every sign
+test is the sign of the integer ``v^m q(u/v)``, so a ``Fraction`` is built
+only for a value that is returned.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .poly import (
     MonicIntPolynomial,
     cauchy_bound,
     deflate_zero_root,
+    eval_homogeneous,
     eval_rational,
     reversed_monic,
     shift_scale,
@@ -118,7 +124,7 @@ class RootEstimate:
         return decimal_string(self.value, digits)
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -132,6 +138,9 @@ def _residual_ok(p: MonicIntPolynomial, r: Fraction, target_digits: int) -> bool
 
 #: A ratio sample ``n / d`` as the integer pair ``(n, d)`` with ``d > 0``.
 Sample = tuple[int, int]
+
+#: Maps a sample ``(n, d)`` to an accepted ``(value, estimator)``, or None.
+Acceptor = Callable[[int, int], Optional[tuple[Fraction, str]]]
 
 
 def _may_render_equal(x: Sample, y: Sample, scale: int) -> bool:
@@ -257,6 +266,7 @@ def _iterate_family(
     *,
     budget: Optional[int] = None,
     successive_check: Optional[AffineShift] = None,
+    accept: Optional[Acceptor] = None,
 ) -> RootEstimate:
     """Drive one family until convergence, tie, collapse, or budget end.
 
@@ -269,6 +279,11 @@ def _iterate_family(
     only while ``_may_render_equal`` admits the last two samples; only then,
     or once the run is long enough to settle, are they rendered, and only
     a rendered, accepted or returned sample becomes a ``Fraction``.
+
+    With ``accept``, that rule is replaced: each sample the prefilter admits
+    goes to ``accept``, and the run converges on the first ``(value,
+    estimator)`` it returns.  Nothing is rendered, ``target`` is not
+    evaluated and ``opts.window`` does not apply.
     """
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     digits = opts.target_digits
@@ -296,7 +311,20 @@ def _iterate_family(
             prev, last = last, (n, d)
             value: Optional[Fraction] = None
             rendering: Optional[Decimal] = None
-            if prev is not None and _may_render_equal(prev, last, scale):
+            admitted = prev is not None and _may_render_equal(prev, last, scale)
+            if accept is not None:
+                accepted = accept(n, d) if admitted else None
+                if accepted is not None:
+                    return RootEstimate(
+                        accepted[0],
+                        digits,
+                        steps,
+                        RootStatus.CONVERGED,
+                        shift_used,
+                        accepted[1],
+                        family.peak_bits,
+                    )
+            elif admitted:
                 if last_render is None:
                     last_render = render(Fraction(*prev))
                 value = family.cross_ratio(1).value
@@ -304,7 +332,7 @@ def _iterate_family(
                 run_length = run_length + 1 if rendering == last_render else 1
             else:
                 run_length = 1
-            if run_length >= opts.window:
+            if accept is None and run_length >= opts.window:
                 if value is None:
                     value = family.cross_ratio(1).value
                     rendering = render(value)
@@ -372,6 +400,7 @@ def _retrying(
     *,
     budget: Optional[int] = None,
     successive_check: Optional[AffineShift] = None,
+    accept: Optional[Acceptor] = None,
 ) -> RootEstimate:
     """Run with the default seed, once more with all-ones on collapse."""
     est = _iterate_family(
@@ -381,6 +410,7 @@ def _retrying(
         opts,
         budget=budget,
         successive_check=successive_check,
+        accept=accept,
     )
     if est.status is not RootStatus.DEGENERATE_SEED:
         return est
@@ -392,6 +422,7 @@ def _retrying(
         opts,
         budget=budget,
         successive_check=successive_check,
+        accept=accept,
     )
 
 
@@ -509,13 +540,14 @@ def _roots_in_unit_interval(desc: list[int]) -> int:
 
 def _isolate(
     q: MonicIntPolynomial,
-) -> tuple[list[Fraction], list[tuple[Fraction, Fraction, int]]]:
+) -> tuple[list[Fraction], list[tuple[int, int, int, int]]]:
     """Descartes bisection over the roots of a square-free ``q``.
 
     Returns the roots met exactly at split points and the isolating
-    intervals ``(lo, hi, s)``: each open interval holds exactly one root,
-    and ``s`` is the sign of ``q`` just above ``lo``.  Intervals are
-    disjoint, so the roots they hold are distinct.
+    intervals ``(lo, hi, k, s)``, in integers over a power of two: each open
+    interval ``(lo / 2^k, hi / 2^k)`` holds exactly one root, and ``s`` is
+    the sign of ``q`` just above its left end.  Intervals are disjoint, so
+    the roots they hold are distinct.
 
     Every interval carries an integer polynomial ``P`` with
     ``P(t) = c * q(lo + (hi - lo) t)`` for some ``c > 0``, so the roots of
@@ -526,13 +558,14 @@ def _isolate(
     bound = 1 << (cauchy_bound(q) - 1).bit_length()
     width = 2 * bound
 
-    def point(c: int, k: int) -> Fraction:
-        return Fraction(width * c, 1 << k) - bound
+    def point(c: int, k: int) -> int:
+        # the k-th level's c-th split point, times 2^k
+        return width * c - (bound << k)
 
     top = shift_scale(q, AffineShift(bound, 1)).with_leading()
     m = q.degree
     exact: list[Fraction] = []
-    intervals: list[tuple[Fraction, Fraction, int]] = []
+    intervals: list[tuple[int, int, int, int]] = []
     todo = [([c * width ** (m - i) for i, c in enumerate(top)], 0, 0)]
     while todo:
         poly, c, k = todo.pop()
@@ -541,12 +574,12 @@ def _isolate(
             continue
         if count == 1:
             low = next(a for a in reversed(poly) if a != 0)
-            intervals.append((point(c, k), point(c + 1, k), 1 if low > 0 else -1))
+            intervals.append((point(c, k), point(c + 1, k), k, 1 if low > 0 else -1))
             continue
         left = [a << i for i, a in enumerate(poly)]
         right = _taylor_shift_one(left)
         if right[-1] == 0:
-            exact.append(point(2 * c + 1, k + 1))
+            exact.append(Fraction(point(2 * c + 1, k + 1), 1 << (k + 1)))
         todo.append((left, 2 * c, k + 1))
         todo.append((right, 2 * c + 1, k + 1))
     return exact, intervals
@@ -554,89 +587,127 @@ def _isolate(
 
 def _certified(
     q: MonicIntPolynomial,
-    r: Fraction,
-    lo: Fraction,
-    hi: Fraction,
+    num: int,
+    den: int,
+    lo: int,
+    hi: int,
+    k: int,
     s_lo: int,
     target_digits: int,
 ) -> bool:
-    """Exact signs of ``q`` show that the one root in ``(lo, hi)`` lies
-    within ``|r| * 10^-target_digits`` of ``r`` (``lo < r < hi``).
+    """Exact signs of ``q`` show that the one root in ``(lo/2^k, hi/2^k)``
+    lies within ``|r| * 10^-target_digits`` of ``r = num/den`` (``den > 0``,
+    ``r`` inside the bracket).
 
     ``q`` has sign ``s_lo`` below that root and ``-s_lo`` above it, so a
     test point inside the bracket tells on which side of it the root is.
+    The test points ``r -+ |r| * 10^-target_digits`` are ``a/w`` and
+    ``b/w`` over ``w = den * 10^target_digits``, compared with the bracket
+    by cross-multiplying and signed by ``eval_homogeneous``.
     """
-    delta = abs(r) / 10**target_digits
-    a, b = r - delta, r + delta
-    root_above_a = a <= lo or _sign(eval_rational(q, a)) != -s_lo
-    root_below_b = b >= hi or _sign(eval_rational(q, b)) != s_lo
+    scale = 10**target_digits
+    w = den * scale
+    a, b = num * scale - abs(num), num * scale + abs(num)
+    root_above_a = a << k <= lo * w or _sign(eval_homogeneous(q, a, w)) != -s_lo
+    root_below_b = b << k >= hi * w or _sign(eval_homogeneous(q, b, w)) != s_lo
     return root_above_a and root_below_b
+
+
+def _lowest_terms(u: int, k: int) -> tuple[int, int]:
+    """``u / 2^k`` as ``(numerator, denominator)`` in lowest terms."""
+    shift = min(k, (u & -u).bit_length() - 1) if u else k
+    return u >> shift, 1 << (k - shift)
 
 
 def _extract_bracket(
     q: MonicIntPolynomial,
-    lo: Fraction,
-    hi: Fraction,
+    lo: int,
+    hi: int,
+    k: int,
     s_lo: int,
     opts: DriverOptions,
 ) -> RootEstimate:
-    """Pull the one root of ``q`` in ``(lo, hi)`` out with exact arithmetic.
+    """Pull the one root of ``q`` in ``(lo/2^k, hi/2^k)`` out in integers.
 
-    ``s_lo`` is the sign of ``q`` just above ``lo``.  Bisection tightens
-    the bracket; recentring at the midpoint c = u/v and reversing
-    coefficients produces a polynomial whose dominant root is
+    ``s_lo`` is the sign of ``q`` just above the left end.  Bisection
+    tightens the bracket, one level of ``k`` a halving, and reads each sign
+    from ``eval_homogeneous``.  Recentring at the midpoint c = u/v and
+    reversing coefficients produces a polynomial whose dominant root is
     K / (v*r - u) for the root r nearest c (K its constant term), so the
-    standard iteration applies and the estimate maps back exactly.  An
-    estimate is kept only once ``_certified`` holds; otherwise (or on a tie
-    with a complex pair nearer c) the bracket tightens and the run repeats.
+    ratio iteration applies and a sample ``n/d`` maps back to
+    ``(u + K*d/n) / v`` exactly.  Acceptance is the certificate alone: each
+    sample ``_may_render_equal`` admits is mapped back, and one inside the
+    bracket is kept once its nearest integer is a root of ``q`` (``exact``)
+    or ``_certified`` holds; nothing is rendered, and ``opts.window`` does
+    not apply.  When a run stops without one (budget, tie with a complex
+    pair nearer c, collapse), the bracket tightens and the run repeats.
     Should the bracket pin the root down before any run does, its centre is
     reported as a bisection estimate, so every call returns a root.
     """
-    budget = EXTRACT_STEPS_PER_DIGIT * opts.target_digits + 2 * TIE_SPAN
+    digits = opts.target_digits
+    budget = EXTRACT_STEPS_PER_DIGIT * digits + 2 * TIE_SPAN
     spent = 0
     while True:
         for _ in range(BISECT_STEPS):
-            mid = (lo + hi) / 2
-            s = _sign(eval_rational(q, mid))
+            mid = lo + hi
+            lo, hi, k = 2 * lo, 2 * hi, k + 1
+            s = _sign(eval_homogeneous(q, mid, 1 << k))
             if s == 0:
-                return _exact_estimate(mid, opts, iterations=spent)
+                return _exact_estimate(Fraction(mid, 1 << k), opts, iterations=spent)
             if s == s_lo:
                 lo = mid
             else:
                 hi = mid
-        center = (lo + hi) / 2
-        u, v = center.numerator, center.denominator
+        # in lowest terms: a needless factor 2 in v would scale coefficient j
+        # of the recentred polynomial by 2^j
+        u, v = _lowest_terms(lo + hi, k + 1)
         recentred = shift_scale(q, AffineShift(-u, v))
         if recentred.constant_term == 0:
-            return _exact_estimate(center, opts, iterations=spent)
+            return _exact_estimate(Fraction(u, v), opts, iterations=spent)
         reversed_poly = reversed_monic(recentred)
         scale = recentred.constant_term
 
         def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
             return init_family(reversed_poly, seed, normalized=opts.normalized)
 
-        est = _retrying(build, reversed_poly, IDENTITY_SHIFT, opts, budget=budget)
+        def accept(n: int, d: int) -> Optional[tuple[Fraction, str]]:
+            # the root (u + scale*d/n) / v as num/den, den > 0 (n = 0 maps
+            # to no root: den = 0 fails the bracket test)
+            num, den = u * n + scale * d, v * n
+            if den < 0:
+                num, den = -num, -den
+            if not lo * den < num << k < hi * den:
+                return None
+            # round half to even, as round() does
+            nearest, rest = divmod(2 * num + den, 2 * den)
+            if rest == 0 and nearest & 1:
+                nearest -= 1
+            if lo < nearest << k < hi and eval_homogeneous(q, nearest, 1) == 0:
+                return Fraction(nearest), ESTIMATOR_EXACT
+            if _certified(q, num, den, lo, hi, k, s_lo, digits):
+                return Fraction(num, den), ESTIMATOR_CROSS
+            return None
+
+        est = _retrying(
+            build, reversed_poly, IDENTITY_SHIFT, opts, budget=budget, accept=accept
+        )
         spent += est.iterations
-        if est.status is RootStatus.CONVERGED and est.value != 0:
-            root = (u + Fraction(scale) / est.value) / v
-            if lo < root < hi:
-                nearest = round(root)
-                if lo < nearest < hi and eval_rational(q, nearest) == 0:
-                    return _exact_estimate(Fraction(nearest), opts, iterations=spent)
-                if _certified(q, root, lo, hi, s_lo, opts.target_digits):
-                    return RootEstimate(
-                        root,
-                        opts.target_digits,
-                        spent,
-                        RootStatus.CONVERGED,
-                        IDENTITY_SHIFT,
-                        ESTIMATOR_CROSS,
-                        est.peak_bits,
-                    )
-        if _certified(q, center, lo, hi, s_lo, opts.target_digits):
+        if est.converged:
+            if est.estimator == ESTIMATOR_EXACT:
+                return _exact_estimate(est.value, opts, iterations=spent)
             return RootEstimate(
-                center,
-                opts.target_digits,
+                est.value,
+                digits,
+                spent,
+                RootStatus.CONVERGED,
+                IDENTITY_SHIFT,
+                ESTIMATOR_CROSS,
+                est.peak_bits,
+            )
+        if _certified(q, lo + hi, 1 << (k + 1), lo, hi, k, s_lo, digits):
+            return RootEstimate(
+                Fraction(lo + hi, 1 << (k + 1)),
+                digits,
                 spent,
                 RootStatus.CONVERGED,
                 IDENTITY_SHIFT,
@@ -670,6 +741,7 @@ def enumerate_real_roots(
             exact, intervals = _isolate(q)
             estimates.extend(_exact_estimate(x, opts) for x in exact)
             estimates.extend(
-                _extract_bracket(q, lo, hi, s_lo, opts) for lo, hi, s_lo in intervals
+                _extract_bracket(q, lo, hi, k, s_lo, opts)
+                for lo, hi, k, s_lo in intervals
             )
     return sorted(estimates, key=lambda e: e.value)

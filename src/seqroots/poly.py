@@ -122,20 +122,33 @@ def make_polynomial(
     return MonicIntPolynomial(tuple(values))
 
 
-def eval_rational(p: MonicIntPolynomial, x: Rational) -> Fraction:
-    """Exact value of ``p`` at a rational point (Horner, no rounding).
+def eval_homogeneous(p: MonicIntPolynomial, u: int, v: int) -> int:
+    """The integer ``v^m p(u/v)``, by the homogeneous Horner scheme.
 
-    For ``x = u/v`` in lowest terms the homogeneous Horner scheme computes
-    ``v^m p(u/v)`` in integers; one ``Fraction`` is built at the end.
+    ``u/v`` need not be in lowest terms.  For ``v > 0`` the result has the
+    sign of ``p(u/v)``, so a sign test at a rational point stays in the
+    integers.
+
+    >>> eval_homogeneous(MonicIntPolynomial((0, -2)), 3, 2)  # 4 * ((3/2)^2 - 2)
+    1
     """
-    x = Fraction(x)
-    u, v = x.numerator, x.denominator
     acc = 1
     power = 1
     for a in p.coeffs:
         power *= v
         acc = acc * u + a * power
-    return Fraction(acc, power)
+    return acc
+
+
+def eval_rational(p: MonicIntPolynomial, x: Rational) -> Fraction:
+    """Exact value of ``p`` at a rational point (Horner, no rounding).
+
+    For ``x = u/v`` in lowest terms this is ``eval_homogeneous(p, u, v)``
+    over ``v^m``; one ``Fraction`` is built at the end.
+    """
+    x = Fraction(x)
+    v = x.denominator
+    return Fraction(eval_homogeneous(p, x.numerator, v), v**p.degree)
 
 
 def cauchy_bound(p: MonicIntPolynomial) -> int:

@@ -21,7 +21,15 @@ from seqroots import (
     make_polynomial,
     root_via_shift,
 )
-from seqroots.driver import TIE_SPAN, _may_render_equal, _TieWindow
+from seqroots.driver import (
+    TIE_SPAN,
+    _certified,
+    _isolate,
+    _lowest_terms,
+    _may_render_equal,
+    _square_free,
+    _TieWindow,
+)
 from seqroots.render import decimal_string
 
 SQRT2 = math.sqrt(2)
@@ -191,10 +199,10 @@ class TestEnumerateRealRoots:
             assert abs(got - want) < 1e-8
 
     def test_run_budget_too_small_still_certifies(self):
-        # one step per run never fills the window, so the bracket alone
-        # pins each root down to the target digits
+        # one step per run gives two samples; once the bracket has narrowed
+        # enough, the second one's mapped-back root passes the certificate
         roots = enumerate_real_roots(QUADRATIC, DriverOptions(max_iters=1))
-        assert [e.estimator for e in roots] == ["bisection", "bisection"]
+        assert [e.estimator for e in roots] == ["cross-ratio", "cross-ratio"]
         assert abs(float(roots[0].value) - (-1 - SQRT2)) < 1e-10
         assert abs(float(roots[1].value) - (-1 + SQRT2)) < 1e-10
 
@@ -275,6 +283,84 @@ class TestEnumerationHardSet:
                 coeffs = [a - root * b for a, b in zip(coeffs + [0], [0] + coeffs)]
         if len(coeffs) > 1:
             assert_exact_real_roots(coeffs, enumerate_real_roots(make_polynomial(coeffs)))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class TestIntegerCertificate:
+    """``_certified`` in integers decides as its ``Fraction`` form would."""
+
+    @staticmethod
+    def reference(q, r: Fraction, lo: Fraction, hi: Fraction, s_lo: int, digits: int) -> bool:
+        delta = abs(r) / 10**digits
+        a, b = r - delta, r + delta
+        root_above_a = a <= lo or _sign(eval_rational(q, a)) != -s_lo
+        root_below_b = b >= hi or _sign(eval_rational(q, b)) != s_lo
+        return root_above_a and root_below_b
+
+    @staticmethod
+    def near_root(q, lo: Fraction, hi: Fraction, s_lo: int, bits: int) -> Fraction:
+        """The bracket's root to ``bits`` halvings, by Fraction bisection."""
+        for _ in range(bits):
+            mid = (lo + hi) / 2
+            s = _sign(eval_rational(q, mid))
+            if s == 0:
+                return mid
+            if s == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        tail=st.lists(st.integers(-20, 20), min_size=2, max_size=7),
+        digits=st.integers(1, 30),
+        # r = root * (1 + t * 10^-digits): the certificate's edge is |t| = 1
+        offsets=st.lists(st.fractions(-3, 3, max_denominator=40), min_size=1, max_size=3),
+        # r = lo + (hi - lo) * e * 10^-digits, and as far from hi
+        edge=st.fractions(0, 3, max_denominator=40),
+        inside=st.fractions(0, 1, max_denominator=1000),
+        factor=st.integers(1, 6),
+    )
+    def test_matches_fraction_reference(self, tail, digits, offsets, edge, inside, factor):
+        q = _square_free(make_polynomial([1, *tail]))
+        if q.degree < 2:
+            return
+        exact, intervals = _isolate(q)
+        for x in exact:
+            assert eval_rational(q, x) == 0
+        for lo, hi, k, s_lo in intervals:
+            left, right = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+            assert lo < hi and _sign(eval_rational(q, left + (right - left) / 10**9)) in (s_lo, 0)
+            root = self.near_root(q, left, right, s_lo, 4 * digits + 40)
+            step = (right - left) * edge / 10**digits
+            points = [root * (1 + t / 10**digits) for t in offsets]
+            points += [left + step, right - step, left + (right - left) * inside]
+            for r in points:
+                if not left < r < right:
+                    continue
+                # num/den need not be in lowest terms
+                num, den = r.numerator * factor, r.denominator * factor
+                got = _certified(q, num, den, lo, hi, k, s_lo, digits)
+                assert got == self.reference(q, r, left, right, s_lo, digits)
+
+    def test_decides_both_ways(self):
+        # x^2 + 2x - 1 has the root sqrt(2) - 1 = 0.41421356237309504880...
+        q = QUADRATIC
+        _, intervals = _isolate(q)
+        (lo, hi, k, s_lo), = [i for i in intervals if i[0] >= 0]
+        assert _certified(q, 414213562373095, 10**15, lo, hi, k, s_lo, 12)
+        assert not _certified(q, 414213562374, 10**12, lo, hi, k, s_lo, 12)
+
+    @given(u=st.integers(-(2**70), 2**70), k=st.integers(0, 80))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_lowest_terms(self, u, k):
+        num, den = _lowest_terms(u, k)
+        assert Fraction(num, den) == Fraction(u, 1 << k)
+        assert den == Fraction(u, 1 << k).denominator
 
 
 class TestTieWindow:

@@ -22,6 +22,7 @@ from seqroots import (
     reversed_monic,
     shift_scale,
 )
+from seqroots.poly import eval_homogeneous
 
 
 class TestMakePolynomial:
@@ -92,6 +93,53 @@ class TestEvalRational:
         got = eval_rational(MonicIntPolynomial(tuple(coeffs)), x)
         assert isinstance(got, Fraction)
         assert got == expected
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+#: ``(u, v)`` with ``v > 0``, not necessarily in lowest terms: dyadic points
+#: ``u / 2^k``, integers, and ``r * (1 +- 10^-D)`` written as
+#: ``r_num * (10^D +- 1) / (r_den * 10^D)``, the points a certificate tests.
+_POINTS = st.one_of(
+    st.tuples(st.integers(-(10**30), 10**30), st.integers(0, 80).map(lambda k: 1 << k)),
+    st.tuples(st.integers(-50, 50), st.just(1)),
+    st.builds(
+        lambda r, digits, sign: (
+            r.numerator * (10**digits + sign),
+            r.denominator * 10**digits,
+        ),
+        st.one_of(st.integers(-50, 50).map(Fraction), st.fractions(max_denominator=10**12)),
+        st.integers(1, 40),
+        st.sampled_from([-1, 1]),
+    ),
+)
+
+
+class TestEvalHomogeneous:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12)),
+            min_size=1, max_size=9,
+        ),
+        roots=st.lists(st.integers(-50, 50), max_size=3),
+        point=_POINTS,
+    )
+    def test_sign_matches_eval_rational(self, coeffs, roots, point):
+        # degree 1-12: integer roots multiplied in, so that integer points
+        # also hit zeros
+        desc = [1, *coeffs]
+        for root in roots:
+            desc = [a - root * b for a, b in zip(desc + [0], [0] + desc)]
+        p = MonicIntPolynomial(tuple(desc[1:]))
+        u, v = point
+        got = eval_homogeneous(p, u, v)
+        reference = eval_rational(p, Fraction(u, v))
+        assert isinstance(got, int)
+        assert _sign(got) == _sign(reference)
+        assert got == reference * v**p.degree
 
 
 class TestAffineShift:
