@@ -10,6 +10,18 @@ dominant roots never settle; a non-contracting oscillation amplitude over
 a sliding sample window reports them as a tie instead of burning the
 whole iteration budget.
 
+Until then a run converges linearly: it earns ``log10(gap)`` digits a
+step, so a poor gap between the largest and the next image modulus makes
+it long.  Such a run is handed over.  From its fortieth sample on, every
+``TIE_SPAN`` samples the tie window's two spreads give Aitken's (1926)
+estimate of the distance still to go.  A bracket reaching twice that to
+either side of the last sample that holds exactly one root of the
+square-free part is finished by the same extraction enumeration uses (below), which restarts
+the recurrence on the reversed polynomial recentred near the convergent.
+That is the integer analogue of shift-and-invert iteration: it converges
+super-linearly, and its value is certified.  Runs that settle or tie before
+a handover are unchanged.
+
 The loop around the recurrence stays in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
 compare by cross-multiplying.  The tie test keeps monotone deques of the
@@ -142,6 +154,13 @@ Sample = tuple[int, int]
 #: Maps a sample ``(n, d)`` to an accepted ``(value, estimator)``, or None.
 Acceptor = Callable[[int, int], Optional[tuple[Fraction, str]]]
 
+#: A spread ``num / den`` of ratio samples as ``(num, den)`` with ``den > 0``.
+Spread = tuple[int, int]
+
+#: Maps the last sample and the tie window's newer and older spreads to a
+#: finished estimate, or None to keep stepping.
+Finisher = Callable[[Sample, Spread, Spread], Optional[RootEstimate]]
+
 
 def _may_render_equal(x: Sample, y: Sample, scale: int) -> bool:
     """False only if ``x`` and ``y`` render differently at D significant
@@ -173,7 +192,7 @@ class _TieWindow:
         self._largest: deque[tuple[int, int, int]] = deque()
         self._smallest: deque[tuple[int, int, int]] = deque()
         # (num, den) of each spread, den > 0
-        self._spreads: deque[tuple[int, int]] = deque(maxlen=span + 1)
+        self._spreads: deque[Spread] = deque(maxlen=span + 1)
 
     @staticmethod
     def _enter(
@@ -205,6 +224,10 @@ class _TieWindow:
         num, den = self._spreads[-1]
         older_num, older_den = self._spreads[0]
         return num * older_den >= older_num * den
+
+    def spreads(self) -> tuple[Spread, Spread]:
+        """The newer and the older half's spread, once the window is full."""
+        return self._spreads[-1], self._spreads[0]
 
 
 def _exact_estimate(
@@ -267,6 +290,7 @@ def _iterate_family(
     budget: Optional[int] = None,
     successive_check: Optional[AffineShift] = None,
     accept: Optional[Acceptor] = None,
+    finish: Optional[Finisher] = None,
 ) -> RootEstimate:
     """Drive one family until convergence, tie, collapse, or budget end.
 
@@ -284,10 +308,19 @@ def _iterate_family(
     goes to ``accept``, and the run converges on the first ``(value,
     estimator)`` it returns.  Nothing is rendered, ``target`` is not
     evaluated and ``opts.window`` does not apply.
+
+    With ``finish``, a slow run can end a third way, by handover.  Once the
+    tie window is full and has not fired, every ``TIE_SPAN`` samples the
+    last sample and the window's two spreads go to ``finish``, unless the
+    last two samples already agree to ``D - 4`` digits (such a run is about
+    to settle).  The first estimate it returns ends the run as converged,
+    its steps and peak bits added to the run's own.  A run that settles or
+    ties first is unchanged.
     """
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     digits = opts.target_digits
     scale = 10 ** (digits - 1)
+    near_scale = 10 ** max(0, digits - 5)
     steps = 0
     run_length = 0
     # rendering of ``last``, or None while it has not been needed
@@ -367,6 +400,23 @@ def _iterate_family(
                     ESTIMATOR_CROSS,
                     family.peak_bits,
                 )
+            if (
+                finish is not None
+                and tie.count >= 2 * TIE_SPAN
+                and tie.count % TIE_SPAN == 0
+                and not _may_render_equal(prev, last, near_scale)
+            ):
+                finished = finish(last, *tie.spreads())
+                if finished is not None:
+                    return RootEstimate(
+                        finished.value,
+                        finished.decimal_digits,
+                        steps + finished.iterations,
+                        RootStatus.CONVERGED,
+                        shift_used,
+                        finished.estimator,
+                        max(family.peak_bits, finished.peak_bits),
+                    )
         if steps >= limit:
             last_value = Fraction(0) if last is None else Fraction(*last)
             return RootEstimate(
@@ -401,6 +451,7 @@ def _retrying(
     budget: Optional[int] = None,
     successive_check: Optional[AffineShift] = None,
     accept: Optional[Acceptor] = None,
+    finish: Optional[Finisher] = None,
 ) -> RootEstimate:
     """Run with the default seed, once more with all-ones on collapse."""
     est = _iterate_family(
@@ -411,6 +462,7 @@ def _retrying(
         budget=budget,
         successive_check=successive_check,
         accept=accept,
+        finish=finish,
     )
     if est.status is not RootStatus.DEGENERATE_SEED:
         return est
@@ -423,6 +475,7 @@ def _retrying(
         budget=budget,
         successive_check=successive_check,
         accept=accept,
+        finish=finish,
     )
 
 
@@ -440,7 +493,7 @@ def dominant_root(
     def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
         return init_family(p, seed, normalized=opts.normalized)
 
-    return _retrying(build, p, IDENTITY_SHIFT, opts)
+    return _retrying(build, p, IDENTITY_SHIFT, opts, finish=_finisher(p, opts))
 
 
 def root_via_shift(
@@ -460,7 +513,7 @@ def root_via_shift(
     def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
         return shifted_family(p, s, seed, normalized=False)
 
-    return _retrying(build, p, s, opts, successive_check=s)
+    return _retrying(build, p, s, opts, successive_check=s, finish=_finisher(p, opts))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -538,6 +591,15 @@ def _roots_in_unit_interval(desc: list[int]) -> int:
     return count
 
 
+def _on_unit_interval(q: MonicIntPolynomial, lo: int, hi: int, k: int) -> list[int]:
+    """Descending integer coefficients of ``P(t) = c * q((lo + (hi - lo) t) / 2^k)``
+    for some ``c > 0``: the roots of ``q`` in the bracket, mapped onto (0, 1)."""
+    width = hi - lo
+    m = q.degree
+    mapped = shift_scale(q, AffineShift(-lo, 1 << k)).with_leading()
+    return [c * width ** (m - i) for i, c in enumerate(mapped)]
+
+
 def _isolate(
     q: MonicIntPolynomial,
 ) -> tuple[list[Fraction], list[tuple[int, int, int, int]]]:
@@ -562,11 +624,9 @@ def _isolate(
         # the k-th level's c-th split point, times 2^k
         return width * c - (bound << k)
 
-    top = shift_scale(q, AffineShift(bound, 1)).with_leading()
-    m = q.degree
     exact: list[Fraction] = []
     intervals: list[tuple[int, int, int, int]] = []
-    todo = [([c * width ** (m - i) for i, c in enumerate(top)], 0, 0)]
+    todo = [(_on_unit_interval(q, -bound, bound, 0), 0, 0)]
     while todo:
         poly, c, k = todo.pop()
         count = _roots_in_unit_interval(poly)
@@ -713,6 +773,53 @@ def _extract_bracket(
                 IDENTITY_SHIFT,
                 ESTIMATOR_BISECTION,
             )
+
+
+def _finisher(p: MonicIntPolynomial, opts: DriverOptions) -> Finisher:
+    """Hand a slow ``dominant_root`` or ``root_via_shift`` run over to
+    ``_extract_bracket``, which finishes it super-linearly and certifies it.
+
+    The bracket is centred on the last sample ``c = n/d``.  With ``s`` the
+    newer spread and ``theta = s / s_old`` the window's contraction, its
+    half-width is ``2 * s * theta / (1 - theta)``: Aitken's estimate of the
+    distance still to go, doubled, in exact rationals.  It is widened
+    outward to integers over ``2^k`` and handed over only if it is narrow
+    (at most ``|c| / 100``) and the square-free part ``q`` of ``p``, built
+    on first use, is nonzero at both ends with exactly one root between
+    them (Descartes, as in ``_isolate``).  Otherwise the run keeps stepping.
+    """
+    q: Optional[MonicIntPolynomial] = None
+
+    def finish(sample: Sample, newer: Spread, older: Spread) -> Optional[RootEstimate]:
+        nonlocal q
+        n, d = sample
+        a, b = newer
+        c, e = older
+        if a == 0:
+            # a constant newer half: no contraction to extrapolate
+            return None
+        # half-width num/den; den > 0, as the window did not tie (a/b < c/e)
+        num, den = 2 * a * a * e, b * (b * c - a * e)
+        if 100 * num * d > abs(n) * den:
+            return None
+        k = max(0, den.bit_length() - num.bit_length() + 2)
+        w = d * den
+        lo = ((n * den - num * d) << k) // w
+        hi = -((-(n * den + num * d) << k) // w)
+        if q is None:
+            q = _square_free(p)
+        if q.degree == 1:
+            # p is a power of one linear factor: its runs converge
+            # sublinearly, and extraction iterates at least two components
+            return None
+        s_lo = _sign(eval_homogeneous(q, lo, 1 << k))
+        if s_lo == 0 or eval_homogeneous(q, hi, 1 << k) == 0:
+            return None
+        if _roots_in_unit_interval(_on_unit_interval(q, lo, hi, k)) != 1:
+            return None
+        return _extract_bracket(q, lo, hi, k, s_lo, opts)
+
+    return finish
 
 
 def enumerate_real_roots(

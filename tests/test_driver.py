@@ -2,9 +2,12 @@
 
 import math
 import time
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -21,9 +24,11 @@ from seqroots import (
     make_polynomial,
     root_via_shift,
 )
+from seqroots import driver
 from seqroots.driver import (
     TIE_SPAN,
     _certified,
+    _extract_bracket as extract_bracket,
     _isolate,
     _lowest_terms,
     _may_render_equal,
@@ -458,10 +463,15 @@ class TestRenderPrefilter:
 
 
 class TestRegressionPins:
-    """Step counts and decisions that the integer inner loop must keep."""
+    """Step counts and decisions that the integer inner loop must keep.
+
+    Past 12 digits, and in the long runs below, a run is handed over to the
+    certified extraction at its 40th to 120th sample; the counts include the
+    extraction's steps.
+    """
 
     @pytest.mark.parametrize(
-        "digits, steps", [(12, 39), (30, 102), (60, 203), (120, 410)]
+        "digits, steps", [(12, 39), (30, 41), (60, 43), (120, 47)]
     )
     def test_cube_root_via_shift_steps(self, digits, steps):
         est = root_via_shift(CUBIC, AffineShift(1, 1), DriverOptions(target_digits=digits))
@@ -476,9 +486,11 @@ class TestRegressionPins:
     @pytest.mark.parametrize(
         "coeffs, shift, rendered, steps, bits",
         [
-            ([1, -7, 6, 5, 0, -3, -2], (-3, 1), "-0.588260395423", 433, 805),
-            ([1, -2, -8, 1, 4, 9, 6], (-1, 1), "-2.04017544283", 515, 833),
-            ([1, -1, 1, -1, -2], None, "1.44685724791", 464, 248),
+            # the root is -0.58826039542853...: the linear run used to settle
+            # on -0.588260395423
+            ([1, -7, 6, 5, 0, -3, -2], (-3, 1), "-0.588260395429", 120, 468),
+            ([1, -2, -8, 1, 4, 9, 6], (-1, 1), "-2.04017544283", 140, 431),
+            ([1, -1, 1, -1, -2], None, "1.44685724791", 123, 192),
         ],
     )
     def test_long_runs_keep_steps_and_peak_bits(self, coeffs, shift, rendered, steps, bits):
@@ -495,6 +507,143 @@ class TestRegressionPins:
         got = enumerate_real_roots(make_polynomial(coeffs), DriverOptions(target_digits=30))
         assert len(got) == 6
         assert_exact_real_roots(coeffs, got, digits=30)
+
+
+@contextmanager
+def handovers():
+    """Record each ``_extract_bracket`` call a ``dominant_root`` or
+    ``root_via_shift`` run hands over to, as ``(args, result)``."""
+    calls = []
+
+    def spy(*args):
+        result = extract_bracket(*args)
+        calls.append((args, result))
+        return result
+
+    with mock.patch.object(driver, "_extract_bracket", spy):
+        yield calls
+
+
+def _certified_by_signs(q, value: Fraction, digits: int) -> bool:
+    """``value`` is a root of ``q``, or ``q`` changes sign across
+    ``value -+ |value| * 10^-digits``."""
+    if eval_rational(q, value) == 0:
+        return True
+    delta = abs(value) / 10**digits
+    return eval_rational(q, value - delta) * eval_rational(q, value + delta) < 0
+
+
+#: Runs that took 102 to 515 linear steps: long pins, the x^3 - 2 ladder, and slow
+#: dominant-corpus calls (``x^4-8x^3-6x^2+9x+6`` has the root -1).
+SLOW_RUNS = [
+    ([1, -7, 6, 5, 0, -3, -2], (-3, 1), 12),
+    ([1, -2, -8, 1, 4, 9, 6], (-1, 1), 12),
+    ([1, -1, 1, -1, -2], None, 12),
+    ([1, 0, 0, -2], (1, 1), 30),
+    ([1, 0, 0, -2], (1, 1), 120),
+    ([1, -8, -6, 9, 6], (-4, 1), 12),
+    ([1, -2, -4, -2, -5, -8, -9], (-2, 1), 12),
+    ([1, -5, -4, 2, 1], (-3, 1), 12),
+    ([1, -9, 4, -6, -1, 0, -8], (-5, 1), 12),
+]
+
+
+def _run(coeffs, shift, digits=12):
+    p = make_polynomial(coeffs)
+    opts = DriverOptions(target_digits=digits)
+    return root_via_shift(p, AffineShift(*shift), opts) if shift else dominant_root(p, opts)
+
+
+class TestHandover:
+    """Slow ``dominant_root``/``root_via_shift`` runs finish by extraction."""
+
+    @pytest.mark.parametrize("coeffs, shift, digits", SLOW_RUNS)
+    def test_handed_over_result_is_certified(self, coeffs, shift, digits):
+        with handovers() as calls:
+            est = _run(coeffs, shift, digits)
+        assert len(calls) == 1
+        (q, lo, hi, k, s_lo, opts), extracted = calls[0]
+        assert q == _square_free(make_polynomial(coeffs))
+        assert est.status is RootStatus.CONVERGED
+        assert est.value == extracted.value
+        assert est.estimator == extracted.estimator
+        assert est.shift_used == (AffineShift(*shift) if shift else IDENTITY_SHIFT)
+        assert est.iterations > extracted.iterations
+        assert est.peak_bits >= extracted.peak_bits
+        value = est.value
+        if est.estimator != "exact":
+            assert _certified(q, value.numerator, value.denominator, lo, hi, k, s_lo, digits)
+        assert _certified_by_signs(q, value, digits)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        tail=st.lists(st.integers(-9, 9), min_size=2, max_size=6),
+        shift=st.one_of(
+            st.none(),
+            st.tuples(st.integers(-5, 5), st.sampled_from([-2, -1, 1, 2])),
+        ),
+    )
+    def test_converged_values_match_mpmath(self, tail, shift):
+        coeffs = [1, *tail]
+        if coeffs[-1] == 0:
+            return
+        a, b = shift or (0, 1)
+        with mpmath.workdps(60):
+            roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=200)
+            images = sorted(roots, key=lambda r: -abs(a + b * r))
+            if abs(a + b * images[0]) < 1.05 * abs(a + b * images[1]):
+                return
+            root = mpmath.re(images[0])
+            with handovers() as calls:
+                est = _run(coeffs, shift)
+            if est.status is not RootStatus.CONVERGED:
+                return
+            off = abs(mpmath.mpf(est.value.numerator) / est.value.denominator - root)
+            if calls:
+                assert off <= abs(root) * mpmath.mpf(10) ** -12, (coeffs, shift)
+            else:
+                # a run that settles first is accepted on its renderings
+                # and a residual, not on a certificate (ROADMAP item 1)
+                assert off <= abs(root) * mpmath.mpf(10) ** -6, (coeffs, shift)
+
+    @pytest.mark.parametrize(
+        "coeffs, shift, steps", [([1, 3, -1, -7, -8], None, 52), ([1, -4, -8], (-3, 1), 49)]
+    )
+    def test_run_agreeing_to_digits_minus_4_settles_unaided(self, coeffs, shift, steps):
+        # at the 40th sample the last two agree to 8 digits, so the run is
+        # left to settle; handed over there, it would end at 40 steps
+        with handovers() as calls:
+            est = _run(coeffs, shift)
+        assert not calls
+        assert (est.status, est.iterations) == (RootStatus.CONVERGED, steps)
+
+    @pytest.mark.parametrize(
+        "coeffs, shift",
+        [([1, 0, -4], None), ([1, 0, 0, -2], None), ([1, 2, -1], (1, 1))],
+    )
+    def test_ties_stay_ties(self, coeffs, shift):
+        with handovers() as calls:
+            est = _run(coeffs, shift)
+        assert est.status is RootStatus.TIE_DETECTED
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "coeffs, shift, value, steps, bits",
+        [
+            ([1, -1, -1], None, "1346269/832040", 29, 21),
+            ([1, 6, -6, 6], None, "-37153068/5320979", 15, 35),
+            ([1, -9, -3, -3, -3, -9], None, "468528802528/50058615109", 10, 41),
+            ([1, -7, -1, 6, -2, -8, -4], None, "371100374430/52787297971", 12, 48),
+            ([1, -6, 6], (-4, 1), "1956244/1542841", 22, 32),
+            ([1, 3, -6, -1], (-1, 1), "-365129898127/84290370995", 18, 48),
+            ([1, 9, 0, 8, 7, 6, 7], (-1, 1), "-57001544881807527/6271971935455835", 12, 57),
+        ],
+    )
+    def test_runs_that_settle_first_are_unchanged(self, coeffs, shift, value, steps, bits):
+        with handovers() as calls:
+            est = _run(coeffs, shift)
+        assert not calls
+        assert (est.value, est.iterations, est.peak_bits) == (Fraction(value), steps, bits)
 
 
 class TestEstimateFields:
