@@ -10,6 +10,7 @@ root ``r``.  Affine images ``a*I + b*R`` shift every eigenvalue to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -33,26 +34,28 @@ class CompanionMatrix:
 def companion_of(p: MonicIntPolynomial) -> CompanionMatrix:
     """Companion matrix of ``p``; its characteristic polynomial is ``p``."""
     m = p.degree
-    rows = [tuple(-a for a in p.coeffs)]
-    for i in range(1, m):
-        rows.append(tuple(1 if k == i - 1 else 0 for k in range(m)))
-    return CompanionMatrix(tuple(rows))
+    zeros = (0,) * m
+    first = tuple([-a for a in p.coeffs])
+    return CompanionMatrix(
+        (first, *[zeros[: i - 1] + (1,) + zeros[i:] for i in range(1, m)])
+    )
 
 
 def affine(c: CompanionMatrix, s: AffineShift) -> CompanionMatrix:
     """``a*I + b*C``: eigenvalues become ``a + b*lambda``, eigenvectors unchanged."""
-    rows = tuple(
-        tuple(s.b * entry + (s.a if i == k else 0) for k, entry in enumerate(row))
-        for i, row in enumerate(c.rows)
-    )
-    return CompanionMatrix(rows)
+    a, b = s.a, s.b
+    rows = []
+    for i, row in enumerate(c.rows):
+        scaled = tuple([b * entry for entry in row])
+        rows.append(scaled[:i] + (scaled[i] + a,) + scaled[i + 1 :])
+    return CompanionMatrix(tuple(rows))
 
 
 def mat_vec(c: CompanionMatrix, v: Sequence[int]) -> IntVector:
     """Exact integer matrix-vector product."""
     if len(v) != c.dim:
         raise DimensionMismatchError(f"vector has dim {len(v)}, matrix has dim {c.dim}")
-    return tuple(sum(entry * comp for entry, comp in zip(row, v)) for row in c.rows)
+    return tuple([sum(map(mul, row, v)) for row in c.rows])
 
 
 def cayley_hamilton_residual(

@@ -20,14 +20,20 @@ square-free part is finished by the same extraction enumeration uses (below), wh
 the recurrence on the reversed polynomial recentred near the convergent.
 That is the integer analogue of shift-and-invert iteration: it converges
 super-linearly, and its value is certified.  Runs that settle or tie before
-a handover are unchanged.
+a handover are unchanged.  A repeated dominant root converges like ``1/k``,
+so no bracket holds it: a polynomial with a repeated root is instead
+restarted on its square-free part at the first handover point, under the
+same shift, and a tie found there ends the run as a tie.
 
 The loop around the recurrence stays in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
 compare by cross-multiplying.  The tie test keeps monotone deques of the
 largest and smallest of the newer half of its window; the older half is
 the newer half of ``TIE_SPAN`` steps before, so a step costs amortised
-O(1) comparisons and the two spreads compare in one inequality.
+O(1) comparisons and the two spreads compare in one inequality.  No tie
+can show before the window is full, so its first ``2 * TIE_SPAN`` samples
+are only buffered and then replayed into the deques at once: an extraction
+run, which usually ends within a few steps, never updates a deque.
 Samples are rendered only when two consecutive ones can render equal:
 renderings that coincide at D significant digits satisfy
 ``|x - y| * 10^(D-1) <= 2 * max(|x|, |y|)``, and a pair that fails this
@@ -184,11 +190,20 @@ class _TieWindow:
     minimum of the newer half (indices ascending, values monotone), at an
     amortised O(1) cross-multiplied comparisons a push, and the newer
     half's spread after each of the last ``span + 1`` pushes.
+
+    No push can tie before the window is full, so until then samples are
+    only appended to a list.  The ``2 * span``-th push (or an earlier
+    ``spreads()``) replays them once through the deques, and later pushes
+    update them as they come: a run that ends sooner never touches a deque,
+    and ``push``, ``count`` and ``spreads()`` read as if every sample had
+    been entered on arrival.
     """
 
     def __init__(self, span: int = TIE_SPAN) -> None:
         self.span = span
         self.count = 0
+        # samples not yet entered, or None once the deques are live
+        self._pending: Optional[list[Sample]] = []
         self._largest: deque[tuple[int, int, int]] = deque()
         self._smallest: deque[tuple[int, int, int]] = deque()
         # (num, den) of each spread, den > 0
@@ -210,23 +225,38 @@ class _TieWindow:
         if candidates[0][0] < oldest:
             candidates.popleft()
 
-    def push(self, n: int, d: int) -> bool:
-        k = self.count
-        self.count += 1
+    def _update(self, k: int, n: int, d: int) -> None:
+        """Enter sample ``k`` and record the newer half's spread."""
         oldest = k - self.span + 1
         self._enter(self._largest, k, n, d, oldest, True)
         self._enter(self._smallest, k, n, d, oldest, False)
         _, a, b = self._largest[0]
         _, c, e = self._smallest[0]
         self._spreads.append((a * e - c * b, b * e))
+
+    def _replay(self) -> None:
+        if self._pending is not None:
+            pending, self._pending = self._pending, None
+            for k, (n, d) in enumerate(pending):
+                self._update(k, n, d)
+
+    def push(self, n: int, d: int) -> bool:
+        k = self.count
+        self.count += 1
+        if self._pending is None:
+            self._update(k, n, d)
+        else:
+            self._pending.append((n, d))
         if self.count < 2 * self.span:
             return False
+        self._replay()
         num, den = self._spreads[-1]
         older_num, older_den = self._spreads[0]
         return num * older_den >= older_num * den
 
     def spreads(self) -> tuple[Spread, Spread]:
         """The newer and the older half's spread, once the window is full."""
+        self._replay()
         return self._spreads[-1], self._spreads[0]
 
 
@@ -313,9 +343,10 @@ def _iterate_family(
     tie window is full and has not fired, every ``TIE_SPAN`` samples the
     last sample and the window's two spreads go to ``finish``, unless the
     last two samples already agree to ``D - 4`` digits (such a run is about
-    to settle).  The first estimate it returns ends the run as converged,
-    its steps and peak bits added to the run's own.  A run that settles or
-    ties first is unchanged.
+    to settle).  The first estimate it returns ends the run with that
+    estimate's status (a restart on the square-free part may tie), its
+    steps and peak bits added to the run's own.  A run that settles or ties
+    first is unchanged.
     """
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     digits = opts.target_digits
@@ -412,7 +443,7 @@ def _iterate_family(
                         finished.value,
                         finished.decimal_digits,
                         steps + finished.iterations,
-                        RootStatus.CONVERGED,
+                        finished.status,
                         shift_used,
                         finished.estimator,
                         max(family.peak_bits, finished.peak_bits),
@@ -493,7 +524,8 @@ def dominant_root(
     def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
         return init_family(p, seed, normalized=opts.normalized)
 
-    return _retrying(build, p, IDENTITY_SHIFT, opts, finish=_finisher(p, opts))
+    finish = _finisher(p, opts, lambda q: dominant_root(q, opts))
+    return _retrying(build, p, IDENTITY_SHIFT, opts, finish=finish)
 
 
 def root_via_shift(
@@ -513,7 +545,8 @@ def root_via_shift(
     def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
         return shifted_family(p, s, seed, normalized=False)
 
-    return _retrying(build, p, s, opts, successive_check=s, finish=_finisher(p, opts))
+    finish = _finisher(p, opts, lambda q: root_via_shift(q, s, opts))
+    return _retrying(build, p, s, opts, successive_check=s, finish=finish)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -558,6 +591,9 @@ def _square_free(p: MonicIntPolynomial) -> MonicIntPolynomial:
     a, b = full, [(m - i) * c for i, c in enumerate(full[:-1])]
     while b:
         a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    if len(a) == 1:
+        # a constant gcd: p is square-free already
+        return p
     quotient, _ = _pseudo_divide(full, _primitive(a))
     return MonicIntPolynomial(tuple(quotient[1:]))
 
@@ -775,23 +811,38 @@ def _extract_bracket(
             )
 
 
-def _finisher(p: MonicIntPolynomial, opts: DriverOptions) -> Finisher:
+def _finisher(
+    p: MonicIntPolynomial,
+    opts: DriverOptions,
+    restart: Callable[[MonicIntPolynomial], RootEstimate],
+) -> Finisher:
     """Hand a slow ``dominant_root`` or ``root_via_shift`` run over to
     ``_extract_bracket``, which finishes it super-linearly and certifies it.
 
-    The bracket is centred on the last sample ``c = n/d``.  With ``s`` the
-    newer spread and ``theta = s / s_old`` the window's contraction, its
-    half-width is ``2 * s * theta / (1 - theta)``: Aitken's estimate of the
-    distance still to go, doubled, in exact rationals.  It is widened
-    outward to integers over ``2^k`` and handed over only if it is narrow
-    (at most ``|c| / 100``) and the square-free part ``q`` of ``p``, built
-    on first use, is nonzero at both ends with exactly one root between
-    them (Descartes, as in ``_isolate``).  Otherwise the run keeps stepping.
+    ``restart`` is the run's own entry point under its own shift.  When the
+    square-free part ``q`` of ``p``, built on first use, has a lower degree,
+    ``p`` has a repeated root: a run whose dominant root is repeated
+    converges like ``1/k``, so no bracket below would hold its root.  The
+    run is handed to ``restart(q)`` instead.  ``q`` has the same distinct
+    roots, each simple, so the same root dominates, or the same tie shows.
+
+    Otherwise the bracket is centred on the last sample ``c = n/d``.  With
+    ``s`` the newer spread and ``theta = s / s_old`` the window's
+    contraction, its half-width is ``2 * s * theta / (1 - theta)``: Aitken's
+    estimate of the distance still to go, doubled, in exact rationals.  It
+    is widened outward to integers over ``2^k`` and handed over only if it
+    is narrow (at most ``|c| / 100``) and ``q`` is nonzero at both ends with
+    exactly one root between them (Descartes, as in ``_isolate``).
+    Otherwise the run keeps stepping.
     """
     q: Optional[MonicIntPolynomial] = None
 
     def finish(sample: Sample, newer: Spread, older: Spread) -> Optional[RootEstimate]:
         nonlocal q
+        if q is None:
+            q = _square_free(p)
+        if q.degree < p.degree:
+            return restart(q)
         n, d = sample
         a, b = newer
         c, e = older
@@ -806,12 +857,6 @@ def _finisher(p: MonicIntPolynomial, opts: DriverOptions) -> Finisher:
         w = d * den
         lo = ((n * den - num * d) << k) // w
         hi = -((-(n * den + num * d) << k) // w)
-        if q is None:
-            q = _square_free(p)
-        if q.degree == 1:
-            # p is a power of one linear factor: its runs converge
-            # sublinearly, and extraction iterates at least two components
-            return None
         s_lo = _sign(eval_homogeneous(q, lo, 1 << k))
         if s_lo == 0 or eval_homogeneous(q, hi, 1 << k) == 0:
             return None

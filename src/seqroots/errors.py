@@ -43,3 +43,7 @@ class NormalizedModeUnsupportedError(SeqrootsError, RuntimeError):
 
 class EstimatorMismatchError(SeqrootsError, RuntimeError):
     """Cross-component and successive ratio estimates disagree at convergence."""
+
+
+class OracleUnavailableError(SeqrootsError, ImportError):
+    """The floating-point reference was called without numpy installed."""

@@ -3,17 +3,28 @@
 Simultaneous iteration refines all roots of a polynomial at once in complex
 double precision.  The integer machinery never calls into this module; it
 exists so tests and benchmarks can compare against a method with no shared
-code or arithmetic.
+code or arithmetic.  It is the only part of the package that needs numpy,
+which it imports on first use: ``pip install seqroots[oracle]``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import ModuleType
 
-import numpy as np
-
+from .errors import OracleUnavailableError
 from .poly import MonicIntPolynomial
+
+
+def _numpy() -> ModuleType:
+    try:
+        import numpy
+    except ImportError:
+        raise OracleUnavailableError(
+            "the float reference needs numpy: pip install seqroots[oracle]"
+        ) from None
+    return numpy
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,7 @@ def durand_kerner(
     intermediate triggers one restart from a different rotation before the
     run is reported as failed.
     """
+    np = _numpy()
     m = p.degree
     coeffs = np.asarray(p.with_leading(), dtype=np.float64)
     if m == 1:
@@ -93,6 +105,7 @@ def newton_refine(
     Returns the refined value and the number of steps taken.  Accuracy is
     capped by double precision regardless of ``digits``.
     """
+    np = _numpy()
     coeffs = np.asarray(p.with_leading(), dtype=np.float64)
     deriv = np.polyder(coeffs)
     x = float(x0)

@@ -87,10 +87,10 @@ class SequenceFamily:
         m = poly.degree
         if seed is None:
             seed = default_seed(m)
-        seed = tuple(int(c) for c in seed)
+        seed = tuple(map(int, seed))
         if len(seed) != m:
             raise DimensionMismatchError(f"seed has dim {len(seed)}, need {m}")
-        if all(c == 0 for c in seed):
+        if not any(seed):
             raise ZeroSeedError("seed vector is zero")
         if matrix is None:
             matrix = companion_of(poly)
@@ -108,9 +108,10 @@ class SequenceFamily:
         self.peak_bits = 0
 
         vec = seed
-        for _ in range(m):
-            self._store(vec)
+        self._store(vec)
+        for _ in range(m - 1):
             vec = mat_vec(matrix, vec)
+            self._store(vec)
         self.j = m - 1
 
     # -- state ------------------------------------------------------------
@@ -226,8 +227,9 @@ def _affine_part(matrix: CompanionMatrix) -> tuple[int, int]:
     if m == 1:
         return 0, 1
     b, a = rows[1][0], rows[1][1]
+    zeros = (0,) * m
     for i in range(1, m):
-        expected = tuple(b if k == i - 1 else a if k == i else 0 for k in range(m))
+        expected = zeros[: i - 1] + (b, a) + zeros[i + 1 :]
         if tuple(rows[i]) != expected:
             raise ValueError(
                 f"matrix row {i} is {rows[i]}; rows below the first must be "

@@ -1,6 +1,7 @@
 """Command-line interface: tables, exit codes, JSON round trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -162,6 +163,14 @@ class TestBenchCommand:
         assert row["exact_iterations"] > 0
         assert row["exact_peak_bits"] > 0
         assert row["exact_seconds"] >= 0.0
+
+    def test_without_numpy_exits_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        code, out, err = run_cli(capsys, "bench", "--runs", "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "pip install seqroots[oracle]" in err
 
     def test_tied_run_shows_status_and_no_value(self, capsys):
         # under shift 1,1 the roots -1 +- sqrt(2) map to +-sqrt(2): a tie

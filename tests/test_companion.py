@@ -1,6 +1,8 @@
 """Companion matrices, affine images, and exact matrix-vector products."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqroots import (
     AffineShift,
@@ -11,6 +13,7 @@ from seqroots import (
     make_polynomial,
     mat_vec,
 )
+from seqroots.sequences import _affine_part
 
 
 class TestCompanionOf:
@@ -79,3 +82,32 @@ class TestCayleyHamilton:
         other = make_polynomial([1, 0, -1])
         residual = cayley_hamilton_residual(other, companion_of(p))
         assert any(any(x != 0 for x in row) for row in residual)
+
+
+class TestAgainstEntrywiseDefinitions:
+    """The row-slice builders agree with the matrices defined entry by entry."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        tail=st.lists(st.integers(-50, 50), min_size=1, max_size=9),
+        a=st.integers(-9, 9),
+        b=st.integers(-9, 9).filter(bool),
+        v=st.lists(st.integers(-(10**20), 10**20), min_size=9, max_size=9),
+    )
+    def test_companion_affine_and_product(self, tail, a, b, v):
+        m = len(tail)
+        c = companion_of(make_polynomial([1, *tail]))
+        assert c.rows == (
+            tuple(-x for x in tail),
+            *(tuple(int(k == i - 1) for k in range(m)) for i in range(1, m)),
+        )
+        shifted = affine(c, AffineShift(a, b))
+        assert shifted.rows == tuple(
+            tuple(b * entry + (a if i == k else 0) for k, entry in enumerate(row))
+            for i, row in enumerate(c.rows)
+        )
+        assert _affine_part(shifted) == ((a, b) if m > 1 else (0, 1))
+        v = v[:m]
+        assert mat_vec(shifted, v) == tuple(
+            sum(entry * x for entry, x in zip(row, v)) for row in shifted.rows
+        )

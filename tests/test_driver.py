@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import deque
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
@@ -368,6 +369,48 @@ class TestIntegerCertificate:
         assert den == Fraction(u, 1 << k).denominator
 
 
+class _EagerTieWindow:
+    """The tie window as it was before buffering: every sample enters the
+    deques on arrival.  The reference for ``_TieWindow``'s replay."""
+
+    def __init__(self, span: int) -> None:
+        self.span = span
+        self.count = 0
+        self._largest = deque()
+        self._smallest = deque()
+        self._spreads = deque(maxlen=span + 1)
+
+    @staticmethod
+    def _enter(candidates, k, n, d, oldest, largest):
+        while candidates:
+            _, cn, cd = candidates[-1]
+            if (cn * d <= n * cd) if largest else (cn * d >= n * cd):
+                candidates.pop()
+            else:
+                break
+        candidates.append((k, n, d))
+        if candidates[0][0] < oldest:
+            candidates.popleft()
+
+    def push(self, n: int, d: int) -> bool:
+        k = self.count
+        self.count += 1
+        oldest = k - self.span + 1
+        self._enter(self._largest, k, n, d, oldest, True)
+        self._enter(self._smallest, k, n, d, oldest, False)
+        _, a, b = self._largest[0]
+        _, c, e = self._smallest[0]
+        self._spreads.append((a * e - c * b, b * e))
+        if self.count < 2 * self.span:
+            return False
+        num, den = self._spreads[-1]
+        older_num, older_den = self._spreads[0]
+        return num * older_den >= older_num * den
+
+    def spreads(self):
+        return self._spreads[-1], self._spreads[0]
+
+
 class TestTieWindow:
     """The integer sliding window decides as max/min over Fractions would."""
 
@@ -392,14 +435,55 @@ class TestTieWindow:
     )
     large = st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
 
+    @staticmethod
+    @st.composite
+    def span_and_stream(draw):
+        """A span and a stream shorter than, as long as or longer than
+        ``2 * span`` samples."""
+        span = draw(st.one_of(st.just(TIE_SPAN), st.integers(1, 6)))
+        full = 2 * span
+        length = draw(st.one_of(
+            st.integers(1, full - 1),
+            st.sampled_from([full - 1, full, full + 1]),
+            st.integers(full + 1, full + 90),
+        ))
+        item = st.one_of(TestTieWindow.small, TestTieWindow.large)
+        return span, draw(st.lists(item, min_size=length, max_size=length))
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        stream=st.lists(st.one_of(small, large), min_size=1, max_size=130),
-        span=st.one_of(st.just(TIE_SPAN), st.integers(1, 6)),
-    )
-    def test_matches_fraction_max_min(self, stream, span):
+    @given(case=span_and_stream())
+    def test_matches_fraction_max_min(self, case):
+        span, stream = case
         window = _TieWindow(span)
         assert [window.push(n, d) for n, d in stream] == self.reference(stream, span)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=span_and_stream())
+    def test_reads_as_the_eager_window_at_every_sample(self, case):
+        span, stream = case
+        eager = _EagerTieWindow(span)
+        # read spreads() only once the window is full, so its samples stay
+        # buffered until the replay at the 2*span-th push
+        lazy = _TieWindow(span)
+        # read spreads() at every push, so the replay comes at the first
+        probed = _TieWindow(span)
+        for n, d in stream:
+            expected = eager.push(n, d)
+            assert lazy.push(n, d) == expected
+            assert probed.push(n, d) == expected
+            assert lazy.count == probed.count == eager.count
+            assert probed.spreads() == eager.spreads()
+            if lazy.count >= 2 * span:
+                assert lazy.spreads() == eager.spreads()
+        assert lazy.spreads() == eager.spreads()
+
+    def test_a_run_that_ends_before_the_window_fills_touches_no_deque(self):
+        window = _TieWindow()
+        for k in range(1, 2 * TIE_SPAN):
+            window.push(k, 1)
+        assert not (window._largest or window._smallest or window._spreads)
+        window.push(2 * TIE_SPAN, 1)
+        assert len(window._spreads) == TIE_SPAN + 1
 
     def test_constant_stream_ties_once_full(self):
         window = _TieWindow()
@@ -644,6 +728,40 @@ class TestHandover:
             est = _run(coeffs, shift)
         assert not calls
         assert (est.value, est.iterations, est.peak_bits) == (Fraction(value), steps, bits)
+
+
+class TestRepeatedDominantRoot:
+    """A repeated dominant root converges like 1/k, so the run is restarted
+    on the square-free part at its first handover point; these once ran all
+    10000 steps and returned MAX_ITERS_EXCEEDED."""
+
+    @pytest.mark.parametrize(
+        "coeffs, shift, status, value, tol, steps",
+        [
+            # (x-3)^2 (x+1): settles on the square-free part's run
+            ([1, -5, 3, 9], None, RootStatus.CONVERGED, 3, Fraction(1, 10**12), 65),
+            # (x-2)^3: the square-free part is linear, so the root is exact
+            ([1, -6, 12, -8], (1, 1), RootStatus.CONVERGED, 2, 0, 40),
+            # (x-3)^2 (x+3): the square-free part x^2 - 9 ties
+            ([1, -3, -9, 27], None, RootStatus.TIE_DETECTED, None, None, 117),
+        ],
+    )
+    def test_finishes_on_the_square_free_part(self, coeffs, shift, status, value, tol, steps):
+        est = _run(coeffs, shift)
+        assert est.status is status
+        assert est.iterations == steps < 200
+        assert est.shift_used == (AffineShift(*shift) if shift else IDENTITY_SHIFT)
+        if value is not None:
+            assert abs(est.value - value) <= value * tol
+
+    @pytest.mark.parametrize("coeffs", [[1, 0, 0, -2], [1, -5, 3, 9], [1, -6, 12, -8]])
+    def test_square_free_part(self, coeffs):
+        p = make_polynomial(coeffs)
+        q = _square_free(p)
+        want = sympy.Poly(coeffs, X).sqf_part().monic().all_coeffs()
+        assert list(q.with_leading()) == [int(c) for c in want]
+        # a square-free polynomial comes back as it is, with no division
+        assert (q is p) == (q.degree == p.degree)
 
 
 class TestEstimateFields:

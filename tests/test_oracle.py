@@ -1,6 +1,8 @@
 """Floating-point reference solver: known roots, Vieta sums, gap measure."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -90,3 +92,17 @@ class TestNewtonRefine:
         x, steps = newton_refine(p, -2.4, 12)
         assert abs(x - (-1 - math.sqrt(2))) < 1e-11
         assert steps < 20
+
+
+class TestNumpyIsOptional:
+    def test_importing_the_package_leaves_numpy_out(self):
+        # a fresh interpreter: this one has numpy loaded by the tests above
+        code = "import sys, seqroots; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_oracle_without_numpy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        p = make_polynomial([1, 2, -1])
+        for call in (lambda: durand_kerner(p), lambda: newton_refine(p, 0.4, 12)):
+            with pytest.raises(ImportError, match=r"pip install seqroots\[oracle\]"):
+                call()

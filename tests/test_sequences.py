@@ -200,6 +200,32 @@ class TestConstruction:
         assert fam.j == 10
 
 
+class TestConstructionCost:
+    """The constructor stores the seed and m - 1 products: ``S_0`` through
+    ``S_(m-1)``, and no product beyond the last one it keeps."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("shift", [None, AffineShift(-3, 2)])
+    def test_degree_m_costs_m_minus_1_products(self, monkeypatch, degree, shift):
+        import seqroots.sequences
+
+        calls = []
+
+        def counting(c, v):
+            calls.append(v)
+            return mat_vec(c, v)
+
+        monkeypatch.setattr(seqroots.sequences, "mat_vec", counting)
+        poly = make_polynomial([1] + [k - 2 for k in range(degree)])
+        if shift is None:
+            fam = init_family(poly)
+        else:
+            fam = shifted_family(poly, shift)
+        assert len(calls) == degree - 1
+        assert fam.j == degree - 1 and len(fam.window) == degree
+        assert list(fam.window[:-1]) == calls
+
+
 class TestAccessors:
     def test_term_index_bounds(self):
         fam = init_family(QUADRATIC, keep_history=True)
