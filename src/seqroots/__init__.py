@@ -8,13 +8,6 @@ appears only in the independent reference solver used by tests and the
 benchmark.
 """
 
-from .companion import (
-    CompanionMatrix,
-    affine,
-    cayley_hamilton_residual,
-    companion_of,
-    mat_vec,
-)
 from .driver import (
     DEFAULT_OPTIONS,
     DriverOptions,
@@ -29,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     EstimatorMismatchError,
-    NormalizedModeUnsupportedError,
     NotMonicError,
     NoZeroRootError,
     OutOfRangeError,
@@ -37,47 +29,21 @@ from .errors import (
     ZeroDenominatorError,
     ZeroSeedError,
 )
-from .oracle import ComplexRootSet, dominance_gap, durand_kerner, newton_refine
-from .poly import (
-    IDENTITY_SHIFT,
-    MAX_DEGREE,
-    AffineShift,
-    MonicIntPolynomial,
-    cauchy_bound,
-    deflate_zero_root,
-    eval_rational,
-    make_polynomial,
-    reversed_monic,
-    shift_scale,
-)
-from .render import EXACT_AGREEMENT, agreement_digits, decimal_string, ratio_string
-from .sequences import (
-    Convergent,
-    SequenceFamily,
-    affine_matrix,
-    default_seed,
-    init_family,
-    shifted_family,
-)
+from .poly import IDENTITY_SHIFT, AffineShift, MonicIntPolynomial, make_polynomial
+from .sequences import SequenceFamily, shifted_family
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineShift",
-    "CompanionMatrix",
-    "ComplexRootSet",
-    "Convergent",
     "DEFAULT_OPTIONS",
     "DegreeTooSmallError",
     "DimensionMismatchError",
     "DriverOptions",
-    "EXACT_AGREEMENT",
     "EmptyInputError",
     "EstimatorMismatchError",
     "IDENTITY_SHIFT",
-    "MAX_DEGREE",
     "MonicIntPolynomial",
-    "NormalizedModeUnsupportedError",
     "NotMonicError",
     "NoZeroRootError",
     "OutOfRangeError",
@@ -87,27 +53,9 @@ __all__ = [
     "SequenceFamily",
     "ZeroDenominatorError",
     "ZeroSeedError",
-    "affine",
-    "affine_matrix",
-    "agreement_digits",
-    "cauchy_bound",
-    "cayley_hamilton_residual",
-    "companion_of",
-    "decimal_string",
-    "default_seed",
-    "deflate_zero_root",
-    "dominance_gap",
     "dominant_root",
-    "durand_kerner",
     "enumerate_real_roots",
-    "eval_rational",
-    "init_family",
     "make_polynomial",
-    "mat_vec",
-    "newton_refine",
-    "ratio_string",
-    "reversed_monic",
     "root_via_shift",
-    "shift_scale",
     "shifted_family",
 ]

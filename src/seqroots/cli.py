@@ -31,7 +31,7 @@ from .driver import (
 from .errors import EstimatorMismatchError, SeqrootsError
 from .poly import AffineShift, MonicIntPolynomial, make_polynomial
 from .render import ratio_string
-from .sequences import default_seed, init_family, shifted_family
+from .sequences import SequenceFamily, default_seed, shifted_family
 
 EXIT_OK = 0
 EXIT_TIE = 2
@@ -193,7 +193,7 @@ def cmd_sequences(args: argparse.Namespace) -> tuple[dict, int]:
     if args.shift is not None:
         family = shifted_family(args.poly, args.shift, seed, keep_history=True)
     else:
-        family = init_family(args.poly, seed, keep_history=True)
+        family = SequenceFamily(args.poly, seed, keep_history=True)
     family.run_to(args.steps)
     rows = []
     for j in range(args.steps + 1):

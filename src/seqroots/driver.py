@@ -79,7 +79,7 @@ from .poly import (
     shift_scale,
 )
 from .render import EXACT_AGREEMENT, agreement_digits, decimal_string
-from .sequences import SequenceFamily, init_family, shifted_family
+from .sequences import SequenceFamily, shifted_family
 
 ESTIMATOR_CROSS = "cross-ratio"
 ESTIMATOR_SUCCESSIVE = "successive-ratio"
@@ -87,6 +87,10 @@ ESTIMATOR_EXACT = "exact"
 ESTIMATOR_BISECTION = "bisection"
 
 TIE_SPAN = 20
+
+#: ``dominant_root`` and ``root_via_shift`` accept a value once this many
+#: consecutive samples render equal (and its residual passes).
+RENDER_WINDOW = 3
 
 #: An extraction run gains log10(1/rho) digits a step, where rho is the ratio
 #: of the distances from the bracket centre to its root and to the next
@@ -106,12 +110,10 @@ class RootStatus(Enum):
 @dataclass(frozen=True)
 class DriverOptions:
     target_digits: int = 12
-    window: int = 3
     max_iters: int = 10000
-    normalized: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("target_digits", "window", "max_iters"):
+        for name in ("target_digits", "max_iters"):
             if _as_int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -278,9 +280,9 @@ def _linear_root(
     p: MonicIntPolynomial, shift_used: AffineShift, opts: DriverOptions
 ) -> RootEstimate:
     """Degree 1: one exact step of the family nails the root."""
-    fam = init_family(p, keep_history=True)
+    fam = SequenceFamily(p, keep_history=True)
     fam.step()
-    value = fam.successive_ratio(1).value
+    value = fam.successive_ratio(1)
     return RootEstimate(
         value,
         max(opts.target_digits, EXACT_AGREEMENT),
@@ -300,7 +302,7 @@ def _check_successive(
     tol = Fraction(1, 10 ** max(0, opts.target_digits - 2))
     for i in range(1, family.degree + 1):
         try:
-            got = family.successive_ratio(i).value
+            got = family.successive_ratio(i)
         except (ZeroDenominatorError, OutOfRangeError):
             continue
         if abs(got - expected) > tol:
@@ -337,7 +339,7 @@ def _iterate_family(
     With ``accept``, that rule is replaced: each sample the prefilter admits
     goes to ``accept``, and the run converges on the first ``(value,
     estimator)`` it returns.  Nothing is rendered, ``target`` is not
-    evaluated and ``opts.window`` does not apply.
+    evaluated and ``RENDER_WINDOW`` does not apply.
 
     With ``finish``, a slow run can end a third way, by handover.  Once the
     tie window is full and has not fired, every ``TIE_SPAN`` samples the
@@ -391,14 +393,14 @@ def _iterate_family(
             elif admitted:
                 if last_render is None:
                     last_render = render(Fraction(*prev))
-                value = family.cross_ratio(1).value
+                value = family.cross_ratio(1)
                 rendering = render(value)
                 run_length = run_length + 1 if rendering == last_render else 1
             else:
                 run_length = 1
-            if accept is None and run_length >= opts.window:
+            if accept is None and run_length >= RENDER_WINDOW:
                 if value is None:
-                    value = family.cross_ratio(1).value
+                    value = family.cross_ratio(1)
                     rendering = render(value)
                 if rendering != rejected_render:
                     if _residual_ok(target, value, digits):
@@ -423,7 +425,7 @@ def _iterate_family(
                 # stalled-but-rejected constant would otherwise report
                 # perfect agreement
                 return RootEstimate(
-                    family.cross_ratio(1).value if value is None else value,
+                    family.cross_ratio(1) if value is None else value,
                     0,
                     steps,
                     RootStatus.TIE_DETECTED,
@@ -522,7 +524,7 @@ def dominant_root(
         return _linear_root(p, IDENTITY_SHIFT, opts)
 
     def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
-        return init_family(p, seed, normalized=opts.normalized)
+        return SequenceFamily(p, seed)
 
     finish = _finisher(p, opts, lambda q: dominant_root(q, opts))
     return _retrying(build, p, IDENTITY_SHIFT, opts, finish=finish)
@@ -536,14 +538,13 @@ def root_via_shift(
     The family iterates the shifted matrix, so cross ratios converge
     straight to the original root; the step-over-step ratio is used as an
     independent consistency check at acceptance (it must approach
-    ``a + b*value``), which requires exact stepping, so this path ignores
-    ``opts.normalized``.
+    ``a + b*value``).
     """
     if p.degree == 1:
         return _linear_root(p, s, opts)
 
     def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
-        return shifted_family(p, s, seed, normalized=False)
+        return shifted_family(p, s, seed)
 
     finish = _finisher(p, opts, lambda q: root_via_shift(q, s, opts))
     return _retrying(build, p, s, opts, successive_check=s, finish=finish)
@@ -734,9 +735,10 @@ def _extract_bracket(
     ``(u + K*d/n) / v`` exactly.  Acceptance is the certificate alone: each
     sample ``_may_render_equal`` admits is mapped back, and one inside the
     bracket is kept once its nearest integer is a root of ``q`` (``exact``)
-    or ``_certified`` holds; nothing is rendered, and ``opts.window`` does
-    not apply.  When a run stops without one (budget, tie with a complex
-    pair nearer c, collapse), the bracket tightens and the run repeats.
+    or ``_certified`` holds; nothing is rendered, and ``RENDER_WINDOW``
+    does not apply.  When a run stops without one (budget, tie with a
+    complex pair nearer c, collapse), the bracket tightens and the run
+    repeats.
     Should the bracket pin the root down before any run does, its centre is
     reported as a bisection estimate, so every call returns a root.
     """
@@ -764,7 +766,7 @@ def _extract_bracket(
         scale = recentred.constant_term
 
         def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
-            return init_family(reversed_poly, seed, normalized=opts.normalized)
+            return SequenceFamily(reversed_poly, seed)
 
         def accept(n: int, d: int) -> Optional[tuple[Fraction, str]]:
             # the root (u + scale*d/n) / v as num/den, den > 0 (n = 0 maps

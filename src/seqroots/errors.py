@@ -37,10 +37,6 @@ class ZeroDenominatorError(SeqrootsError, ZeroDivisionError):
     """A ratio was requested whose denominator term is 0."""
 
 
-class NormalizedModeUnsupportedError(SeqrootsError, RuntimeError):
-    """Successive ratios are not available on a gcd-normalized family."""
-
-
 class EstimatorMismatchError(SeqrootsError, RuntimeError):
     """Cross-component and successive ratio estimates disagree at convergence."""
 

@@ -20,45 +20,23 @@ are then one sequence read at m offsets.  Component ratios of these vectors
 converge to roots: the ratio of adjacent components at a fixed step tends
 to the root whose (possibly shifted) image dominates in absolute value, and
 the step-over-step ratio within one sequence tends to that dominant image
-itself.
-
-A family is either exact (default), storing ``M^j S_0`` exactly, or
-normalized, storing each ``M v`` divided by the gcd of its components.
-Every normalized vector is the exact one divided by a positive integer, so
-same-step component ratios are unchanged while growth of the common content
-is suppressed.  Step-over-step ratios are meaningless in this mode and are
-refused.
+itself.  A family stores ``M^j S_0`` exactly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Optional, Sequence
 
 from .companion import CompanionMatrix, IntVector, affine, companion_of, mat_vec
 from .errors import (
     DimensionMismatchError,
-    NormalizedModeUnsupportedError,
     OutOfRangeError,
     ZeroDenominatorError,
     ZeroSeedError,
 )
 from .poly import AffineShift, MonicIntPolynomial, shift_scale
-from .render import decimal_string
-
-
-@dataclass(frozen=True)
-class Convergent:
-    """Exact rational ratio sample, reduced to lowest terms."""
-
-    value: Fraction
-
-    def decimal(self, digits: int) -> str:
-        return decimal_string(self.value, digits)
-
 
 def default_seed(m: int) -> IntVector:
     """Standard basis seed ``(1, 0, ..., 0)``."""
@@ -72,7 +50,7 @@ class SequenceFamily:
     family must not be stepped from two tasks at once.  A ``matrix`` given
     to the constructor must have the form ``a*I + b*C`` described above
     (``ValueError`` otherwise), and its characteristic polynomial must be
-    ``poly``.
+    ``poly``.  Seed components must be integers (``TypeError`` otherwise).
     """
 
     def __init__(
@@ -81,13 +59,12 @@ class SequenceFamily:
         seed: Optional[Sequence[int]] = None,
         *,
         matrix: Optional[CompanionMatrix] = None,
-        normalized: bool = False,
         keep_history: bool = False,
     ) -> None:
         m = poly.degree
         if seed is None:
             seed = default_seed(m)
-        seed = tuple(map(int, seed))
+        seed = tuple(map(index, seed))
         if len(seed) != m:
             raise DimensionMismatchError(f"seed has dim {len(seed)}, need {m}")
         if not any(seed):
@@ -99,7 +76,6 @@ class SequenceFamily:
 
         self.poly = poly
         self.matrix = matrix
-        self.normalized = normalized
         self._m = m
         self._top = tuple(matrix.rows[0])
         self._a, self._b = _affine_part(matrix)
@@ -122,7 +98,7 @@ class SequenceFamily:
 
     @property
     def current(self) -> IntVector:
-        """The most recent state vector (as stored)."""
+        """The most recent state vector."""
         return self._window[-1]
 
     @property
@@ -130,10 +106,6 @@ class SequenceFamily:
         return tuple(self._window)
 
     def _store(self, vec: IntVector) -> None:
-        if self.normalized:
-            g = math.gcd(*vec)
-            if g > 1:
-                vec = tuple(c // g for c in vec)
         self._window.append(vec)
         if len(self._window) > self._m:
             del self._window[0]
@@ -159,9 +131,9 @@ class SequenceFamily:
     # -- advancing --------------------------------------------------------
 
     def step(self) -> None:
-        """Advance by one index: the new vector is ``M v`` for the current ``v``
-        (divided by its gcd in normalized mode), computed as one dot product
-        with the first row of ``M`` plus the shift ``a*v[i] + b*v[i-1]``."""
+        """Advance by one index: the new vector is ``M v`` for the current
+        ``v``, computed as one dot product with the first row of ``M`` plus
+        the shift ``a*v[i] + b*v[i-1]``."""
         v = self._window[-1]
         a, b = self._a, self._b
         head = sum(map(mul, self._top, v))
@@ -182,29 +154,25 @@ class SequenceFamily:
             raise OutOfRangeError(f"sequence index {i} outside 1..{self.degree}")
         return self.vector(j)[i - 1]
 
-    def cross_ratio(self, i: int, j: Optional[int] = None) -> Convergent:
+    def cross_ratio(self, i: int, j: Optional[int] = None) -> Fraction:
         """Exact ratio of components ``i`` over ``i+1`` at step ``j``.
 
         Converges to the root of the original polynomial whose (shifted)
-        image dominates; identical in exact and normalized modes.
+        image dominates.
         """
         if not 1 <= i <= self.degree - 1:
             raise OutOfRangeError(f"cross ratio index {i} outside 1..{self.degree - 1}")
         vec = self.current if j is None else self.vector(j)
         if vec[i] == 0:
             raise ZeroDenominatorError(f"component {i + 1} is zero at step {j}")
-        return Convergent(Fraction(vec[i - 1], vec[i]))
+        return Fraction(vec[i - 1], vec[i])
 
-    def successive_ratio(self, i: int, j: Optional[int] = None) -> Convergent:
+    def successive_ratio(self, i: int, j: Optional[int] = None) -> Fraction:
         """Exact ratio of sequence ``i`` at step ``j`` over step ``j-1``.
 
         Converges to the dominant eigenvalue of the iteration matrix (the
-        shifted image of the root).  Exact mode only.
+        shifted image of the root).
         """
-        if self.normalized:
-            raise NormalizedModeUnsupportedError(
-                "successive ratios require an exact-mode family"
-            )
         if not 1 <= i <= self.degree:
             raise OutOfRangeError(f"sequence index {i} outside 1..{self.degree}")
         if j is None:
@@ -215,7 +183,7 @@ class SequenceFamily:
         cur = self.vector(j)[i - 1]
         if prev == 0:
             raise ZeroDenominatorError(f"sequence {i} is zero at step {j - 1}")
-        return Convergent(Fraction(cur, prev))
+        return Fraction(cur, prev)
 
 
 def _affine_part(matrix: CompanionMatrix) -> tuple[int, int]:
@@ -238,26 +206,11 @@ def _affine_part(matrix: CompanionMatrix) -> tuple[int, int]:
     return a, b
 
 
-def init_family(
-    poly: MonicIntPolynomial,
-    seed: Optional[Sequence[int]] = None,
-    *,
-    matrix: Optional[CompanionMatrix] = None,
-    normalized: bool = False,
-    keep_history: bool = False,
-) -> SequenceFamily:
-    """Build a family for ``poly`` (functional alias for the constructor)."""
-    return SequenceFamily(
-        poly, seed, matrix=matrix, normalized=normalized, keep_history=keep_history
-    )
-
-
 def shifted_family(
     p: MonicIntPolynomial,
     shift: AffineShift,
     seed: Optional[Sequence[int]] = None,
     *,
-    normalized: bool = False,
     keep_history: bool = False,
 ) -> SequenceFamily:
     """Family targeting the root of ``p`` whose image ``a + b*r`` is dominant.
@@ -266,13 +219,9 @@ def shifted_family(
     the recurrence of the shifted polynomial ``b^m p((x-a)/b)``.  Cross ratios
     then converge to the original root; successive ratios to ``a + b*root``.
     """
-    q = shift_scale(p, shift)
-    m = affine_matrix(p, shift)
     return SequenceFamily(
-        q, seed, matrix=m, normalized=normalized, keep_history=keep_history
+        shift_scale(p, shift),
+        seed,
+        matrix=affine(companion_of(p), shift),
+        keep_history=keep_history,
     )
-
-
-def affine_matrix(p: MonicIntPolynomial, shift: AffineShift) -> CompanionMatrix:
-    """``a*I + b*companion_of(p)``."""
-    return affine(companion_of(p), shift)

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from seqroots import (
-    ComplexRootSet,
-    MonicIntPolynomial,
-    dominance_gap,
-    durand_kerner,
-    make_polynomial,
-)
+from seqroots import MonicIntPolynomial, make_polynomial
+from seqroots.oracle import ComplexRootSet, dominance_gap, durand_kerner
 
 CORPUS_SEED = 20260823
 CORPUS_SIZE = 100

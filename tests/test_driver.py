@@ -21,7 +21,6 @@ from seqroots import (
     RootStatus,
     dominant_root,
     enumerate_real_roots,
-    eval_rational,
     make_polynomial,
     root_via_shift,
 )
@@ -36,6 +35,7 @@ from seqroots.driver import (
     _square_free,
     _TieWindow,
 )
+from seqroots.poly import eval_rational
 from seqroots.render import decimal_string
 
 SQRT2 = math.sqrt(2)
@@ -49,15 +49,11 @@ class TestDriverOptions:
     def test_defaults(self):
         opts = DriverOptions()
         assert opts.target_digits == 12
-        assert opts.window == 3
         assert opts.max_iters == 10000
-        assert opts.normalized
 
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ValueError):
             DriverOptions(target_digits=0)
-        with pytest.raises(ValueError):
-            DriverOptions(window=0)
         with pytest.raises(ValueError):
             DriverOptions(max_iters=-1)
 
@@ -93,11 +89,6 @@ class TestDominantRoot:
         assert est.status is RootStatus.MAX_ITERS_EXCEEDED
         assert est.iterations == 5
 
-    def test_exact_and_normalized_agree(self):
-        a = dominant_root(QUADRATIC, DriverOptions(normalized=True))
-        b = dominant_root(QUADRATIC, DriverOptions(normalized=False))
-        assert a.value == b.value
-
     def test_rational_root_converges(self):
         est = dominant_root(make_polynomial([1, -3, 2]))  # roots 2, 1
         assert est.converged
@@ -125,7 +116,7 @@ class TestRootViaShift:
 
     def test_identity_shift_matches_dominant(self):
         a = root_via_shift(QUADRATIC, IDENTITY_SHIFT)
-        b = dominant_root(QUADRATIC, DriverOptions(normalized=False))
+        b = dominant_root(QUADRATIC)
         assert a.value == b.value
 
     def test_shift_invariance_of_the_estimate(self):
@@ -715,8 +706,8 @@ class TestHandover:
         "coeffs, shift, value, steps, bits",
         [
             ([1, -1, -1], None, "1346269/832040", 29, 21),
-            ([1, 6, -6, 6], None, "-37153068/5320979", 15, 35),
-            ([1, -9, -3, -3, -3, -9], None, "468528802528/50058615109", 10, 41),
+            ([1, 6, -6, 6], None, "-37153068/5320979", 15, 48),
+            ([1, -9, -3, -3, -3, -9], None, "468528802528/50058615109", 10, 46),
             ([1, -7, -1, 6, -2, -8, -4], None, "371100374430/52787297971", 12, 48),
             ([1, -6, 6], (-4, 1), "1956244/1542841", 22, 32),
             ([1, 3, -6, -1], (-1, 1), "-365129898127/84290370995", 18, 48),
@@ -775,8 +766,8 @@ class TestEstimateFields:
         assert est.decimal(5) == "-2.4142"
 
     def test_peak_bits_grow_with_precision(self):
-        small = dominant_root(QUADRATIC, DriverOptions(target_digits=6, normalized=False))
-        large = dominant_root(QUADRATIC, DriverOptions(target_digits=24, normalized=False))
+        small = dominant_root(QUADRATIC, DriverOptions(target_digits=6))
+        large = dominant_root(QUADRATIC, DriverOptions(target_digits=24))
         assert large.peak_bits > small.peak_bits > 0
 
     def test_tie_reports_no_stable_digits(self):

@@ -11,18 +11,20 @@ from seqroots import (
     DegreeTooSmallError,
     EmptyInputError,
     IDENTITY_SHIFT,
-    MAX_DEGREE,
     MonicIntPolynomial,
     NotMonicError,
     NoZeroRootError,
+    make_polynomial,
+)
+from seqroots.poly import (
+    MAX_DEGREE,
     cauchy_bound,
     deflate_zero_root,
+    eval_homogeneous,
     eval_rational,
-    make_polynomial,
     reversed_monic,
     shift_scale,
 )
-from seqroots.poly import eval_homogeneous
 
 
 class TestMakePolynomial:

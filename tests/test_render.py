@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqroots import EXACT_AGREEMENT, agreement_digits, decimal_string, ratio_string
+from seqroots.render import EXACT_AGREEMENT, agreement_digits, decimal_string, ratio_string
 
 
 class TestDecimalString:

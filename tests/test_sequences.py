@@ -1,11 +1,10 @@
-"""Sequence families: golden tables, recurrence/matrix equivalence, modes.
+"""Sequence families: golden tables, recurrence/matrix equivalence.
 
 The golden tables pin the exact integer state of three known runs row by
 row, plus decimal renderings of the ratio columns where those are
 unambiguous at the table's precision.
 """
 
-import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -15,20 +14,16 @@ from hypothesis import strategies as st
 
 from seqroots import (
     AffineShift,
-    CompanionMatrix,
     DimensionMismatchError,
-    NormalizedModeUnsupportedError,
     OutOfRangeError,
     ZeroDenominatorError,
     SequenceFamily,
     ZeroSeedError,
-    affine,
-    companion_of,
-    init_family,
     make_polynomial,
-    mat_vec,
     shifted_family,
 )
+from seqroots.companion import CompanionMatrix, affine, companion_of, mat_vec
+from seqroots.render import decimal_string
 
 QUADRATIC = make_polynomial([1, 2, -1])
 CUBIC = make_polynomial([1, 0, 0, -2])
@@ -102,7 +97,7 @@ GOLDEN_CUBIC_RATIOS = {
 
 class TestGoldenPlainQuadratic:
     def test_terms_and_ratios(self):
-        fam = init_family(QUADRATIC, keep_history=True)
+        fam = SequenceFamily(QUADRATIC, keep_history=True)
         fam.run_to(6)
         for j, s1, s2, rendered in GOLDEN_PLAIN:
             assert fam.term(1, j) == s1
@@ -111,7 +106,7 @@ class TestGoldenPlainQuadratic:
                 with pytest.raises(ZeroDenominatorError):
                     fam.cross_ratio(1, j)
             else:
-                assert fam.cross_ratio(1, j).decimal(5) == rendered
+                assert decimal_string(fam.cross_ratio(1, j), 5) == rendered
 
 
 class TestGoldenShiftedQuadratic:
@@ -133,7 +128,7 @@ class TestGoldenShiftedQuadratic:
                 with pytest.raises(ZeroDenominatorError):
                     fam.cross_ratio(1, j)
             else:
-                assert fam.cross_ratio(1, j).decimal(5) == rendered
+                assert decimal_string(fam.cross_ratio(1, j), 5) == rendered
 
 
 class TestGoldenShiftedCubic:
@@ -147,8 +142,8 @@ class TestGoldenShiftedCubic:
         fam = shifted_family(CUBIC, AffineShift(1, 1), seed=[1, 1, 0], keep_history=True)
         fam.run_to(25)
         for j, (r1, r2) in GOLDEN_CUBIC_RATIOS.items():
-            assert fam.cross_ratio(1, j).decimal(7) == r1
-            assert fam.cross_ratio(2, j).decimal(7) == r2
+            assert decimal_string(fam.cross_ratio(1, j), 7) == r1
+            assert decimal_string(fam.cross_ratio(2, j), 7) == r2
 
     def test_recurrence_continues_matrix_iteration(self):
         # every stored vector, the first window and every later step alike,
@@ -164,20 +159,25 @@ class TestGoldenShiftedCubic:
 
 class TestConstruction:
     def test_default_seed_is_first_basis_vector(self):
-        fam = init_family(CUBIC)
+        fam = SequenceFamily(CUBIC)
         assert fam.window[0] == (1, 0, 0)
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ZeroSeedError):
-            init_family(QUADRATIC, seed=[0, 0])
+            SequenceFamily(QUADRATIC, seed=[0, 0])
+
+    def test_non_integral_seed_rejected(self):
+        # a float seed is refused, not truncated to (1, 0)
+        with pytest.raises(TypeError):
+            SequenceFamily(QUADRATIC, seed=[1.7, 0.2])
 
     def test_wrong_length_seed_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            init_family(QUADRATIC, seed=[1, 0, 0])
+            SequenceFamily(QUADRATIC, seed=[1, 0, 0])
 
     def test_wrong_matrix_dimension_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            init_family(QUADRATIC, matrix=companion_of(CUBIC))
+            SequenceFamily(QUADRATIC, matrix=companion_of(CUBIC))
 
     def test_matrix_not_shifted_companion_rejected(self):
         # the step reads rows below the first as a*I + b*C; a dense matrix
@@ -187,13 +187,13 @@ class TestConstruction:
             SequenceFamily(CUBIC, matrix=dense)
 
     def test_degree_one_family(self):
-        fam = init_family(make_polynomial([1, -3]), keep_history=True)
+        fam = SequenceFamily(make_polynomial([1, -3]), keep_history=True)
         fam.run_to(20)
         assert [fam.term(1, j) for j in range(21)] == [3**j for j in range(21)]
-        assert fam.successive_ratio(1).value == 3
+        assert fam.successive_ratio(1) == 3
 
     def test_window_holds_degree_vectors(self):
-        fam = init_family(CUBIC)
+        fam = SequenceFamily(CUBIC)
         assert len(fam.window) == 3
         fam.run_to(10)
         assert len(fam.window) == 3
@@ -218,7 +218,7 @@ class TestConstructionCost:
         monkeypatch.setattr(seqroots.sequences, "mat_vec", counting)
         poly = make_polynomial([1] + [k - 2 for k in range(degree)])
         if shift is None:
-            fam = init_family(poly)
+            fam = SequenceFamily(poly)
         else:
             fam = shifted_family(poly, shift)
         assert len(calls) == degree - 1
@@ -228,14 +228,14 @@ class TestConstructionCost:
 
 class TestAccessors:
     def test_term_index_bounds(self):
-        fam = init_family(QUADRATIC, keep_history=True)
+        fam = SequenceFamily(QUADRATIC, keep_history=True)
         with pytest.raises(OutOfRangeError):
             fam.term(0, 0)
         with pytest.raises(OutOfRangeError):
             fam.term(3, 0)
 
     def test_vector_outside_window_without_history(self):
-        fam = init_family(QUADRATIC)
+        fam = SequenceFamily(QUADRATIC)
         fam.run_to(10)
         with pytest.raises(OutOfRangeError):
             fam.vector(0)
@@ -244,52 +244,13 @@ class TestAccessors:
     def test_successive_ratio_known_value(self):
         fam = shifted_family(QUADRATIC, AffineShift(2, 1), keep_history=True)
         fam.run_to(7)
-        assert fam.successive_ratio(2, 7).value == Fraction(169, 70)
-
-    def test_successive_ratio_needs_exact_mode(self):
-        fam = init_family(QUADRATIC, normalized=True)
-        fam.run_to(5)
-        with pytest.raises(NormalizedModeUnsupportedError):
-            fam.successive_ratio(1)
-
-
-class TestNormalizedMode:
-    def test_vectors_are_content_free(self):
-        import math
-
-        fam = shifted_family(CUBIC, AffineShift(1, 1), seed=[1, 1, 0], normalized=True)
-        fam.run_to(40)
-        assert math.gcd(*fam.current) == 1
-
-    def test_cross_ratios_match_exact_mode(self):
-        exact = shifted_family(CUBIC, AffineShift(1, 1), seed=[1, 1, 0], keep_history=True)
-        norm = shifted_family(
-            CUBIC, AffineShift(1, 1), seed=[1, 1, 0], normalized=True, keep_history=True
-        )
-        exact.run_to(40)
-        norm.run_to(40)
-        for j in range(41):
-            for i in (1, 2):
-                try:
-                    reference = exact.cross_ratio(i, j).value
-                except ZeroDenominatorError:
-                    with pytest.raises(ZeroDenominatorError):
-                        norm.cross_ratio(i, j)
-                    continue
-                assert norm.cross_ratio(i, j).value == reference
-
-    def test_normalized_keeps_integers_smaller(self):
-        exact = shifted_family(CUBIC, AffineShift(1, 1), seed=[1, 1, 0])
-        norm = shifted_family(CUBIC, AffineShift(1, 1), seed=[1, 1, 0], normalized=True)
-        exact.run_to(60)
-        norm.run_to(60)
-        assert norm.peak_bits < exact.peak_bits
+        assert fam.successive_ratio(2, 7) == Fraction(169, 70)
 
 
 class TestRecurrenceEqualsMatrixPowers:
     def test_on_corpus_sample(self, corpus):
         for entry in corpus[:10]:
-            fam = init_family(entry.poly, keep_history=True)
+            fam = SequenceFamily(entry.poly, keep_history=True)
             fam.run_to(60)
             mat = companion_of(entry.poly)
             vec = fam.vector(0)
@@ -302,15 +263,15 @@ class TestShiftInvariantCrossRatios:
     def test_shift_changes_ratios_but_keeps_eigenvectors(self):
         # under a shift the successive ratio moves to a + b*r while the
         # cross ratio still estimates the original root r
-        plain = init_family(QUADRATIC, keep_history=True)
+        plain = SequenceFamily(QUADRATIC, keep_history=True)
         shifted = shifted_family(QUADRATIC, AffineShift(2, 1), keep_history=True)
         plain.run_to(40)
         shifted.run_to(40)
-        r_plain = plain.cross_ratio(1, 40).value  # -> -1 - sqrt(2)
-        r_shift = shifted.cross_ratio(1, 40).value  # -> -1 + sqrt(2)
+        r_plain = plain.cross_ratio(1, 40)  # -> -1 - sqrt(2)
+        r_shift = shifted.cross_ratio(1, 40)  # -> -1 + sqrt(2)
         assert abs(float(r_plain) - (-2.41421356237)) < 1e-9
         assert abs(float(r_shift) - 0.41421356237) < 1e-9
-        step = shifted.successive_ratio(1, 40).value  # -> 2 + r_shift
+        step = shifted.successive_ratio(1, 40)  # -> 2 + r_shift
         assert abs(float(step) - (2 + 0.41421356237)) < 1e-9
 
 
@@ -323,7 +284,7 @@ def _matrix_orbit(matrix, seed, steps):
 
 
 def _recurrence_orbit(poly, matrix, seed, steps):
-    """Reference for exact mode: the first m vectors by matrix products, then
+    """Reference orbit: the first m vectors by matrix products, then
     ``S_j = -a_1 S_(j-1) - ... - a_m S_(j-m)`` componentwise."""
     m = poly.degree
     vecs = _matrix_orbit(matrix, seed, m - 1)
@@ -335,11 +296,6 @@ def _recurrence_orbit(poly, matrix, seed, steps):
             )
         )
     return vecs
-
-
-def _content_free(vec):
-    g = math.gcd(*vec) or 1
-    return tuple(c // g for c in vec)
 
 
 @st.composite
@@ -366,22 +322,17 @@ class TestStepEqualsMatrixOrbit:
     STEPS = 60
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(family=_families(), normalized=st.booleans(), keep_history=st.booleans())
-    def test_vectors_and_peak_bits(self, family, normalized, keep_history):
+    @given(family=_families(), keep_history=st.booleans())
+    def test_vectors_and_peak_bits(self, family, keep_history):
         poly, shift, seed = family
         if shift is None:
-            fam = init_family(poly, seed, normalized=normalized, keep_history=keep_history)
+            fam = SequenceFamily(poly, seed, keep_history=keep_history)
             matrix = companion_of(poly)
         else:
-            fam = shifted_family(
-                poly, shift, seed, normalized=normalized, keep_history=keep_history
-            )
+            fam = shifted_family(poly, shift, seed, keep_history=keep_history)
             matrix = affine(companion_of(poly), shift)
         orbit = _matrix_orbit(matrix, seed, self.STEPS)
-        if normalized:
-            orbit = [_content_free(v) for v in orbit]
-        else:
-            assert orbit == _recurrence_orbit(fam.poly, matrix, seed, self.STEPS)
+        assert orbit == _recurrence_orbit(fam.poly, matrix, seed, self.STEPS)
         peaks = list(accumulate((max(c.bit_length() for c in v) for v in orbit), max))
         for j, expected in enumerate(orbit):
             fam.run_to(j)
