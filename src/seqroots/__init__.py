@@ -30,7 +30,7 @@ from .errors import (
     ZeroSeedError,
 )
 from .poly import IDENTITY_SHIFT, AffineShift, MonicIntPolynomial, make_polynomial
-from .sequences import SequenceFamily, shifted_family
+from .sequences import SequenceFamily
 
 __version__ = "0.1.0"
 
@@ -57,5 +57,4 @@ __all__ = [
     "enumerate_real_roots",
     "make_polynomial",
     "root_via_shift",
-    "shifted_family",
 ]

@@ -29,9 +29,9 @@ from .driver import (
     root_via_shift,
 )
 from .errors import EstimatorMismatchError, SeqrootsError
-from .poly import AffineShift, MonicIntPolynomial, make_polynomial
+from .poly import IDENTITY_SHIFT, AffineShift, MonicIntPolynomial, make_polynomial
 from .render import ratio_string
-from .sequences import SequenceFamily, default_seed, shifted_family
+from .sequences import SequenceFamily, default_seed
 
 EXIT_OK = 0
 EXIT_TIE = 2
@@ -190,10 +190,9 @@ def _estimate_field(est: RootEstimate, digits: int) -> dict:
 
 def cmd_sequences(args: argparse.Namespace) -> tuple[dict, int]:
     seed = args.seed if args.seed is not None else default_seed(args.poly.degree)
-    if args.shift is not None:
-        family = shifted_family(args.poly, args.shift, seed, keep_history=True)
-    else:
-        family = SequenceFamily(args.poly, seed, keep_history=True)
+    family = SequenceFamily(
+        args.poly, seed, shift=args.shift or IDENTITY_SHIFT, keep_history=True
+    )
     family.run_to(args.steps)
     rows = []
     for j in range(args.steps + 1):
@@ -310,9 +309,26 @@ def render_text(doc: dict) -> str:
     raise ValueError(f"unknown command {command!r}")
 
 
+#: Options whose value may start with a minus sign.
+_SIGNED_LISTS = ("--shift", "--seed")
+
+
+def _join_signed_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--shift -1,1`` as ``--shift=-1,1`` (and ``--seed``
+    likewise): argparse takes a separate ``-1,1`` for an option, not for a
+    value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_LISTS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     handlers: dict[str, Callable[[argparse.Namespace], tuple[dict, int]]] = {
         "sequences": cmd_sequences,
         "root": cmd_root,

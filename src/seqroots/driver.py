@@ -16,14 +16,22 @@ it long.  Such a run is handed over.  From its fortieth sample on, every
 ``TIE_SPAN`` samples the tie window's two spreads give Aitken's (1926)
 estimate of the distance still to go.  A bracket reaching twice that to
 either side of the last sample that holds exactly one root of the
-square-free part is finished by the same extraction enumeration uses (below), which restarts
-the recurrence on the reversed polynomial recentred near the convergent.
-That is the integer analogue of shift-and-invert iteration: it converges
-super-linearly, and its value is certified.  Runs that settle or tie before
-a handover are unchanged.  A repeated dominant root converges like ``1/k``,
-so no bracket holds it: a polynomial with a repeated root is instead
-restarted on its square-free part at the first handover point, under the
-same shift, and a tie found there ends the run as a tie.
+square-free part is finished by the same extraction enumeration uses
+(below), which runs the recurrence afresh on the reversed polynomial
+recentred near the convergent.  That is the integer analogue of
+shift-and-invert iteration: it converges super-linearly, and its value is
+certified.  Runs that settle or tie before a handover are unchanged.  A
+repeated dominant root converges like ``1/k``, so no bracket holds it: a
+polynomial with a repeated root instead starts over on its square-free
+part at the first handover point, under the same shift, and a tie found
+there ends the run as a tie.
+
+``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``:
+the family of ``p`` under the shift (the identity for ``dominant_root``),
+stepped from the default seed by ``_iterate_family``.  That seed reaches
+the zero vector only when the shifted matrix is nilpotent, ``p = (x-r)^m``
+with ``a + b*r = 0``, and then every seed does, so the run reports the
+collapse and tries no other seed.
 
 The loop around the recurrence stays in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
@@ -79,7 +87,7 @@ from .poly import (
     shift_scale,
 )
 from .render import EXACT_AGREEMENT, agreement_digits, decimal_string
-from .sequences import SequenceFamily, shifted_family
+from .sequences import SequenceFamily
 
 ESTIMATOR_CROSS = "cross-ratio"
 ESTIMATOR_SUCCESSIVE = "successive-ratio"
@@ -295,10 +303,10 @@ def _linear_root(
 
 
 def _check_successive(
-    family: SequenceFamily, s: AffineShift, value: Fraction, opts: DriverOptions
+    family: SequenceFamily, value: Fraction, opts: DriverOptions
 ) -> None:
     """Cross-check: step-over-step ratio must sit near a + b * value."""
-    expected = s.apply(value)
+    expected = family.shift.apply(value)
     tol = Fraction(1, 10 ** max(0, opts.target_digits - 2))
     for i in range(1, family.degree + 1):
         try:
@@ -314,21 +322,22 @@ def _check_successive(
 
 
 def _iterate_family(
-    family: SequenceFamily,
-    target: MonicIntPolynomial,
-    shift_used: AffineShift,
+    p: MonicIntPolynomial,
+    shift: AffineShift,
     opts: DriverOptions,
     *,
     budget: Optional[int] = None,
-    successive_check: Optional[AffineShift] = None,
     accept: Optional[Acceptor] = None,
     finish: Optional[Finisher] = None,
 ) -> RootEstimate:
-    """Drive one family until convergence, tie, collapse, or budget end.
+    """Drive the family of ``p`` under ``shift`` from the default seed until
+    convergence, tie, collapse, or budget end.
 
-    ``target`` is the polynomial whose root the cross ratios approach (the
-    original one when the family runs under a shift); residuals are checked
-    against it.  ``budget`` caps steps below ``opts.max_iters`` if given.
+    The cross ratios approach a root of ``p``; residuals are checked against
+    it, and an accepted value is cross-checked by ``_check_successive``.
+    ``budget`` caps steps below ``opts.max_iters`` if given.  A collapse to
+    the zero vector reports ``DEGENERATE_SEED``: the default seed ``e1`` is
+    a cyclic vector of every ``a*I + b*C``, so no other seed would help.
 
     A step reads its sample as an integer pair (a zero denominator skips
     it) and feeds the exact ``_TieWindow``.  A run of equal renderings grows
@@ -338,18 +347,19 @@ def _iterate_family(
 
     With ``accept``, that rule is replaced: each sample the prefilter admits
     goes to ``accept``, and the run converges on the first ``(value,
-    estimator)`` it returns.  Nothing is rendered, ``target`` is not
-    evaluated and ``RENDER_WINDOW`` does not apply.
+    estimator)`` it returns.  Nothing is rendered, ``p`` is not evaluated
+    and ``RENDER_WINDOW`` does not apply.
 
     With ``finish``, a slow run can end a third way, by handover.  Once the
     tie window is full and has not fired, every ``TIE_SPAN`` samples the
     last sample and the window's two spreads go to ``finish``, unless the
     last two samples already agree to ``D - 4`` digits (such a run is about
     to settle).  The first estimate it returns ends the run with that
-    estimate's status (a restart on the square-free part may tie), its
+    estimate's status (the run on the square-free part may tie), its
     steps and peak bits added to the run's own.  A run that settles or ties
     first is unchanged.
     """
+    family = SequenceFamily(p, shift=shift)
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     digits = opts.target_digits
     scale = 10 ** (digits - 1)
@@ -386,7 +396,7 @@ def _iterate_family(
                         digits,
                         steps,
                         RootStatus.CONVERGED,
-                        shift_used,
+                        shift,
                         accepted[1],
                         family.peak_bits,
                     )
@@ -403,15 +413,14 @@ def _iterate_family(
                     value = family.cross_ratio(1)
                     rendering = render(value)
                 if rendering != rejected_render:
-                    if _residual_ok(target, value, digits):
-                        if successive_check is not None:
-                            _check_successive(family, successive_check, value, opts)
+                    if _residual_ok(p, value, digits):
+                        _check_successive(family, value, opts)
                         return RootEstimate(
                             value,
                             digits,
                             steps,
                             RootStatus.CONVERGED,
-                            shift_used,
+                            shift,
                             ESTIMATOR_CROSS,
                             family.peak_bits,
                         )
@@ -429,7 +438,7 @@ def _iterate_family(
                     0,
                     steps,
                     RootStatus.TIE_DETECTED,
-                    shift_used,
+                    shift,
                     ESTIMATOR_CROSS,
                     family.peak_bits,
                 )
@@ -446,7 +455,7 @@ def _iterate_family(
                         finished.decimal_digits,
                         steps + finished.iterations,
                         finished.status,
-                        shift_used,
+                        shift,
                         finished.estimator,
                         max(family.peak_bits, finished.peak_bits),
                     )
@@ -457,7 +466,7 @@ def _iterate_family(
                 0 if prev is None else agreement_digits(last_value, Fraction(*prev)),
                 steps,
                 RootStatus.MAX_ITERS_EXCEEDED,
-                shift_used,
+                shift,
                 ESTIMATOR_CROSS,
                 family.peak_bits,
             )
@@ -469,47 +478,19 @@ def _iterate_family(
                 0,
                 steps,
                 RootStatus.DEGENERATE_SEED,
-                shift_used,
+                shift,
                 ESTIMATOR_CROSS,
                 family.peak_bits,
             )
 
 
-def _retrying(
-    build: Callable[[Optional[tuple[int, ...]]], SequenceFamily],
-    target: MonicIntPolynomial,
-    shift_used: AffineShift,
-    opts: DriverOptions,
-    *,
-    budget: Optional[int] = None,
-    successive_check: Optional[AffineShift] = None,
-    accept: Optional[Acceptor] = None,
-    finish: Optional[Finisher] = None,
+def _single_root(
+    p: MonicIntPolynomial, s: AffineShift, opts: DriverOptions
 ) -> RootEstimate:
-    """Run with the default seed, once more with all-ones on collapse."""
-    est = _iterate_family(
-        build(None),
-        target,
-        shift_used,
-        opts,
-        budget=budget,
-        successive_check=successive_check,
-        accept=accept,
-        finish=finish,
-    )
-    if est.status is not RootStatus.DEGENERATE_SEED:
-        return est
-    ones = (1,) * target.degree
-    return _iterate_family(
-        build(ones),
-        target,
-        shift_used,
-        opts,
-        budget=budget,
-        successive_check=successive_check,
-        accept=accept,
-        finish=finish,
-    )
+    """The one run behind ``dominant_root`` and ``root_via_shift``."""
+    if p.degree == 1:
+        return _linear_root(p, s, opts)
+    return _iterate_family(p, s, opts, finish=_finisher(p, s, opts))
 
 
 def dominant_root(
@@ -517,17 +498,11 @@ def dominant_root(
 ) -> RootEstimate:
     """Estimate the root of strictly largest absolute value.
 
-    Reports TieDetected when no such root exists (equal-modulus pair), and
-    MaxItersExceeded when the budget runs out first.
+    Reports TieDetected when no such root exists (equal-modulus pair),
+    MaxItersExceeded when the budget runs out first, and DegenerateSeed
+    when ``p = x^m`` (the companion matrix is nilpotent).
     """
-    if p.degree == 1:
-        return _linear_root(p, IDENTITY_SHIFT, opts)
-
-    def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
-        return SequenceFamily(p, seed)
-
-    finish = _finisher(p, opts, lambda q: dominant_root(q, opts))
-    return _retrying(build, p, IDENTITY_SHIFT, opts, finish=finish)
+    return _single_root(p, IDENTITY_SHIFT, opts)
 
 
 def root_via_shift(
@@ -535,19 +510,14 @@ def root_via_shift(
 ) -> RootEstimate:
     """Estimate the root of ``p`` whose image ``a + b*r`` dominates.
 
-    The family iterates the shifted matrix, so cross ratios converge
-    straight to the original root; the step-over-step ratio is used as an
-    independent consistency check at acceptance (it must approach
-    ``a + b*value``).
+    The family iterates ``a*I + b*C`` for the companion matrix ``C`` of
+    ``p``, so cross ratios converge straight to the original root; the
+    step-over-step ratio is an independent consistency check at acceptance
+    (it must approach ``a + b*value``).  Statuses are those of
+    ``dominant_root``; DegenerateSeed means ``p = (x-r)^m`` with
+    ``a + b*r = 0``.
     """
-    if p.degree == 1:
-        return _linear_root(p, s, opts)
-
-    def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
-        return shifted_family(p, s, seed)
-
-    finish = _finisher(p, opts, lambda q: root_via_shift(q, s, opts))
-    return _retrying(build, p, s, opts, successive_check=s, finish=finish)
+    return _single_root(p, s, opts)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -765,9 +735,6 @@ def _extract_bracket(
         reversed_poly = reversed_monic(recentred)
         scale = recentred.constant_term
 
-        def build(seed: Optional[tuple[int, ...]]) -> SequenceFamily:
-            return SequenceFamily(reversed_poly, seed)
-
         def accept(n: int, d: int) -> Optional[tuple[Fraction, str]]:
             # the root (u + scale*d/n) / v as num/den, den > 0 (n = 0 maps
             # to no root: den = 0 fails the bracket test)
@@ -786,8 +753,8 @@ def _extract_bracket(
                 return Fraction(num, den), ESTIMATOR_CROSS
             return None
 
-        est = _retrying(
-            build, reversed_poly, IDENTITY_SHIFT, opts, budget=budget, accept=accept
+        est = _iterate_family(
+            reversed_poly, IDENTITY_SHIFT, opts, budget=budget, accept=accept
         )
         spent += est.iterations
         if est.converged:
@@ -814,18 +781,15 @@ def _extract_bracket(
 
 
 def _finisher(
-    p: MonicIntPolynomial,
-    opts: DriverOptions,
-    restart: Callable[[MonicIntPolynomial], RootEstimate],
+    p: MonicIntPolynomial, shift: AffineShift, opts: DriverOptions
 ) -> Finisher:
     """Hand a slow ``dominant_root`` or ``root_via_shift`` run over to
     ``_extract_bracket``, which finishes it super-linearly and certifies it.
 
-    ``restart`` is the run's own entry point under its own shift.  When the
-    square-free part ``q`` of ``p``, built on first use, has a lower degree,
-    ``p`` has a repeated root: a run whose dominant root is repeated
-    converges like ``1/k``, so no bracket below would hold its root.  The
-    run is handed to ``restart(q)`` instead.  ``q`` has the same distinct
+    When the square-free part ``q`` of ``p``, built on first use, has a
+    lower degree, ``p`` has a repeated root: a run whose dominant root is
+    repeated converges like ``1/k``, so no bracket below would hold its
+    root.  The run is handed to ``_single_root(q, shift)`` instead.  ``q`` has the same distinct
     roots, each simple, so the same root dominates, or the same tie shows.
 
     Otherwise the bracket is centred on the last sample ``c = n/d``.  With
@@ -844,7 +808,7 @@ def _finisher(
         if q is None:
             q = _square_free(p)
         if q.degree < p.degree:
-            return restart(q)
+            return _single_root(q, shift, opts)
         n, d = sample
         a, b = newer
         c, e = older

@@ -52,8 +52,8 @@ def durand_kerner(
 
     Starts on a circle at the root modulus bound, rotated off the real axis
     so conjugate symmetry cannot trap the iteration.  A non-finite
-    intermediate triggers one restart from a different rotation before the
-    run is reported as failed.
+    intermediate triggers one more attempt from a different rotation before
+    the run is reported as failed.
     """
     np = _numpy()
     m = p.degree

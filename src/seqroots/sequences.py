@@ -1,14 +1,13 @@
 """Integer sequence families driven by an m-term recurrence.
 
-Given a monic integer polynomial of degree ``m``, the family consists of
-``m`` integer sequences advanced together: the state vectors are
-``S_j = M^j S_0`` for an iteration matrix ``M = a*I + b*C`` whose
-characteristic polynomial is the given polynomial, ``C`` a companion
-matrix (the companion matrix of the polynomial itself by default, with
-``a = 0`` and ``b = 1``, or an affine image of the companion matrix of
-another polynomial).  Because all rows of ``M`` but the first are ``b`` on
-the subdiagonal and ``a`` on the diagonal, one step is a single dot
-product of the first row with the current vector, which gives the new
+Given a monic integer polynomial ``p`` of degree ``m`` and an affine shift
+``(a, b)``, the family consists of ``m`` integer sequences advanced
+together: the state vectors are ``S_j = M^j S_0`` for the iteration matrix
+``M = a*I + b*C``, ``C`` the companion matrix of ``p`` (``a = 0`` and
+``b = 1`` by default).  The characteristic polynomial of ``M`` is
+``shift_scale(p, shift)``.  Because all rows of ``M`` but the first are
+``b`` on the subdiagonal and ``a`` on the diagonal, one step is a single
+dot product of the first row with the current vector, which gives the new
 first component, plus a shift of the others:
 
     S_(j+1)[0] = M[0] . S_j,    S_(j+1)[i] = a*S_j[i] + b*S_j[i-1]
@@ -16,11 +15,12 @@ first component, plus a shift of the others:
 For the companion matrix itself the shift is a plain copy, and the first
 component obeys the scalar recurrence
 ``s_(j+1) = -a_1 s_j - a_2 s_(j-1) - ... - a_m s_(j-m+1)``; the m sequences
-are then one sequence read at m offsets.  Component ratios of these vectors
-converge to roots: the ratio of adjacent components at a fixed step tends
-to the root whose (possibly shifted) image dominates in absolute value, and
-the step-over-step ratio within one sequence tends to that dominant image
-itself.  A family stores ``M^j S_0`` exactly.
+are then one sequence read at m offsets.  ``M`` has the eigenvectors of
+``C``, so component ratios of these vectors converge to roots of ``p``:
+the ratio of adjacent components at a fixed step tends to the root whose
+image ``a + b*r`` dominates in absolute value, and the step-over-step
+ratio within one sequence tends to that dominant image itself.  A family
+stores ``M^j S_0`` exactly.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ from fractions import Fraction
 from operator import index, mul
 from typing import Optional, Sequence
 
-from .companion import CompanionMatrix, IntVector, affine, companion_of, mat_vec
+from .companion import IntVector, affine, companion_of, mat_vec
 from .errors import (
     DimensionMismatchError,
     OutOfRangeError,
     ZeroDenominatorError,
     ZeroSeedError,
 )
-from .poly import AffineShift, MonicIntPolynomial, shift_scale
+from .poly import IDENTITY_SHIFT, AffineShift, MonicIntPolynomial
+
 
 def default_seed(m: int) -> IntVector:
     """Standard basis seed ``(1, 0, ..., 0)``."""
@@ -47,10 +48,10 @@ class SequenceFamily:
     """Mutable, single-owner state machine over the m sequences.
 
     Distinct families share nothing and may run concurrently; a single
-    family must not be stepped from two tasks at once.  A ``matrix`` given
-    to the constructor must have the form ``a*I + b*C`` described above
-    (``ValueError`` otherwise), and its characteristic polynomial must be
-    ``poly``.  Seed components must be integers (``TypeError`` otherwise).
+    family must not be stepped from two tasks at once.  The family iterates
+    ``a*I + b*companion_of(poly)`` for ``shift = (a, b)``; its cross ratios
+    approach a root of ``poly``.  Seed components must be integers
+    (``TypeError`` otherwise).
     """
 
     def __init__(
@@ -58,7 +59,7 @@ class SequenceFamily:
         poly: MonicIntPolynomial,
         seed: Optional[Sequence[int]] = None,
         *,
-        matrix: Optional[CompanionMatrix] = None,
+        shift: AffineShift = IDENTITY_SHIFT,
         keep_history: bool = False,
     ) -> None:
         m = poly.degree
@@ -69,16 +70,14 @@ class SequenceFamily:
             raise DimensionMismatchError(f"seed has dim {len(seed)}, need {m}")
         if not any(seed):
             raise ZeroSeedError("seed vector is zero")
-        if matrix is None:
-            matrix = companion_of(poly)
-        elif matrix.dim != m:
-            raise DimensionMismatchError(f"matrix dim {matrix.dim} != degree {m}")
+        matrix = affine(companion_of(poly), shift)
 
         self.poly = poly
+        self.shift = shift
         self.matrix = matrix
         self._m = m
-        self._top = tuple(matrix.rows[0])
-        self._a, self._b = _affine_part(matrix)
+        self._top = matrix.rows[0]
+        self._a, self._b = shift.a, shift.b
         self._window: list[IntVector] = []
         self._history: Optional[list[IntVector]] = [] if keep_history else None
         self.peak_bits = 0
@@ -157,14 +156,16 @@ class SequenceFamily:
     def cross_ratio(self, i: int, j: Optional[int] = None) -> Fraction:
         """Exact ratio of components ``i`` over ``i+1`` at step ``j``.
 
-        Converges to the root of the original polynomial whose (shifted)
-        image dominates.
+        Converges to the root of ``poly`` whose image under ``shift``
+        dominates.
         """
         if not 1 <= i <= self.degree - 1:
             raise OutOfRangeError(f"cross ratio index {i} outside 1..{self.degree - 1}")
         vec = self.current if j is None else self.vector(j)
         if vec[i] == 0:
-            raise ZeroDenominatorError(f"component {i + 1} is zero at step {j}")
+            raise ZeroDenominatorError(
+                f"component {i + 1} is zero at step {self.j if j is None else j}"
+            )
         return Fraction(vec[i - 1], vec[i])
 
     def successive_ratio(self, i: int, j: Optional[int] = None) -> Fraction:
@@ -185,43 +186,3 @@ class SequenceFamily:
             raise ZeroDenominatorError(f"sequence {i} is zero at step {j - 1}")
         return Fraction(cur, prev)
 
-
-def _affine_part(matrix: CompanionMatrix) -> tuple[int, int]:
-    """``(a, b)`` for a matrix whose rows below the first are ``b`` on the
-    subdiagonal, ``a`` on the diagonal and zero elsewhere, as in
-    ``a*I + b*C`` for a companion matrix ``C``; ``(0, 1)`` at dimension 1."""
-    rows = matrix.rows
-    m = len(rows)
-    if m == 1:
-        return 0, 1
-    b, a = rows[1][0], rows[1][1]
-    zeros = (0,) * m
-    for i in range(1, m):
-        expected = zeros[: i - 1] + (b, a) + zeros[i + 1 :]
-        if tuple(rows[i]) != expected:
-            raise ValueError(
-                f"matrix row {i} is {rows[i]}; rows below the first must be "
-                f"{b} on the subdiagonal, {a} on the diagonal and 0 elsewhere"
-            )
-    return a, b
-
-
-def shifted_family(
-    p: MonicIntPolynomial,
-    shift: AffineShift,
-    seed: Optional[Sequence[int]] = None,
-    *,
-    keep_history: bool = False,
-) -> SequenceFamily:
-    """Family targeting the root of ``p`` whose image ``a + b*r`` is dominant.
-
-    Iterates ``a*I + b*companion_of(p)`` (eigenvectors of ``p`` preserved) with
-    the recurrence of the shifted polynomial ``b^m p((x-a)/b)``.  Cross ratios
-    then converge to the original root; successive ratios to ``a + b*root``.
-    """
-    return SequenceFamily(
-        shift_scale(p, shift),
-        seed,
-        matrix=affine(companion_of(p), shift),
-        keep_history=keep_history,
-    )

@@ -22,10 +22,10 @@ from seqroots import (
     enumerate_real_roots,
     make_polynomial,
     root_via_shift,
-    shifted_family,
 )
 from seqroots.bench import builtin_cases, format_report, run_bench
 from seqroots.companion import companion_of, mat_vec
+from seqroots.poly import shift_scale
 from seqroots.render import decimal_string
 
 QUADRATIC = make_polynomial([1, 2, -1])
@@ -56,8 +56,8 @@ def test_criterion_1_quadratic_table():
 
 def test_criterion_2_shifted_quadratic_table():
     with criterion(2, "shifted quadratic table exact; ratio at j=7 renders 0.41420"):
-        fam = shifted_family(QUADRATIC, AffineShift(2, 1), seed=[1, 0], keep_history=True)
-        assert fam.poly.with_leading() == (1, -2, -1)
+        fam = SequenceFamily(QUADRATIC, [1, 0], shift=AffineShift(2, 1), keep_history=True)
+        assert shift_scale(fam.poly, fam.shift).with_leading() == (1, -2, -1)
         fam.run_to(7)
         assert [fam.term(2, j) for j in range(8)] == [0, 1, 2, 5, 12, 29, 70, 169]
         assert decimal_string(fam.cross_ratio(1, 7), 5) == "0.41420"
@@ -65,8 +65,8 @@ def test_criterion_2_shifted_quadratic_table():
 
 def test_criterion_3_shifted_cubic_table():
     with criterion(3, "shifted cubic table exact for 26 rows; late ratios 1.259921"):
-        fam = shifted_family(CUBIC, AffineShift(1, 1), seed=[1, 1, 0], keep_history=True)
-        assert fam.poly.with_leading() == (1, -3, 3, -3)
+        fam = SequenceFamily(CUBIC, [1, 1, 0], shift=AffineShift(1, 1), keep_history=True)
+        assert shift_scale(fam.poly, fam.shift).with_leading() == (1, -3, 3, -3)
         fam.run_to(25)
         for j, s1, s2, s3 in GOLDEN_CUBIC:
             assert fam.vector(j) == (s1, s2, s3), f"row {j}"

@@ -1,11 +1,15 @@
 """Command-line interface: tables, exit codes, JSON round trips."""
 
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from seqroots.cli import (
+    EXIT_DEGENERATE,
     EXIT_MAX_ITERS,
     EXIT_OK,
     EXIT_TIE,
@@ -105,6 +109,14 @@ class TestRootCommand:
         assert code == EXIT_MAX_ITERS
         assert "max-iters-exceeded" in out
 
+    def test_collapse_exit_code(self, capsys):
+        # (x+3)^2 under x -> x + 3: the iteration matrix is nilpotent
+        code, out, _ = run_cli(capsys, "root", "--poly", "1,6,9", "--shift=3,1")
+        assert code == EXIT_DEGENERATE
+        assert out == (
+            "0  status=degenerate-seed  iterations=1  shift=3,1  estimator=cross-ratio\n"
+        )
+
     def test_json_estimate_fields(self, capsys):
         _, raw, _ = run_cli(capsys, "root", "--poly", "1,2,-1", "--json")
         doc = json.loads(raw)
@@ -192,6 +204,31 @@ class TestBenchCommand:
         assert doc_row["exact_value"] == "-2.41421356237"
 
 
+class TestNegativeValues:
+    """A value that starts with a minus sign parses with or without ``=``."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value, line",
+        [
+            (["root", "--poly", "1,-3,-4"], "--shift", "-1,1", "4  status=converged"),
+            (["sequences", "--poly", "1,-3,-4", "--steps", "1"], "--seed", "-1,2",
+             "0    -1     2       -0.5"),
+        ],
+    )
+    def test_space_form_matches_equals_form(self, capsys, command, flag, value, line):
+        spaced = run_cli(capsys, *command, flag, value)
+        assert spaced == run_cli(capsys, *command, f"{flag}={value}")
+        code, out, err = spaced
+        assert (code, err) == (EXIT_OK, "")
+        assert any(row.startswith(line) for row in out.splitlines())
+
+    def test_missing_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["root", "--poly", "1,-3,-4", "--shift", "--json"])
+        assert info.value.code == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_non_monic_polynomial(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -228,3 +265,31 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert "error" in captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """``(argv, stdout)`` of each ``$ seqroots ...`` example in README.md,
+    except ``bench``, whose timings vary.  An example's output runs to the
+    next ``$`` line or the end of its fenced block."""
+    examples = []
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    for block in blocks:
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            argv = shlex.split(command)[1:]
+            if argv[0] != "bench":
+                examples.append(pytest.param(argv, output.rstrip("\n") + "\n", id=command))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        assert len(_readme_examples()) >= 6
+
+    @pytest.mark.parametrize("argv, expected", _readme_examples())
+    def test_output_is_byte_identical(self, capsys, argv, expected):
+        _, out, _ = run_cli(capsys, *argv)
+        assert out == expected

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from seqroots import AffineShift, DimensionMismatchError, make_polynomial
 from seqroots.companion import affine, cayley_hamilton_residual, companion_of, mat_vec
-from seqroots.sequences import _affine_part
 
 
 class TestCompanionOf:
@@ -99,7 +98,6 @@ class TestAgainstEntrywiseDefinitions:
             tuple(b * entry + (a if i == k else 0) for k, entry in enumerate(row))
             for i, row in enumerate(c.rows)
         )
-        assert _affine_part(shifted) == ((a, b) if m > 1 else (0, 1))
         v = v[:m]
         assert mat_vec(shifted, v) == tuple(
             sum(entry * x for entry, x in zip(row, v)) for row in shifted.rows

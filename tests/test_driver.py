@@ -722,7 +722,7 @@ class TestHandover:
 
 
 class TestRepeatedDominantRoot:
-    """A repeated dominant root converges like 1/k, so the run is restarted
+    """A repeated dominant root converges like 1/k, so the run starts over
     on the square-free part at its first handover point; these once ran all
     10000 steps and returned MAX_ITERS_EXCEEDED."""
 
@@ -753,6 +753,27 @@ class TestRepeatedDominantRoot:
         assert list(q.with_leading()) == [int(c) for c in want]
         # a square-free polynomial comes back as it is, with no division
         assert (q is p) == (q.degree == p.degree)
+
+
+class TestSeedCollapse:
+    """The default seed reaches the zero vector only when the iteration
+    matrix is nilpotent, ``p = (x-r)^m`` under a shift with ``a + b*r = 0``;
+    the run then stops after its first step."""
+
+    @pytest.mark.parametrize(
+        "coeffs, shift",
+        [
+            ([1, 0, 0], None),  # x^2
+            ([1, -6, 12, -8], (-2, 1)),  # (x-2)^3 under x -> x - 2
+            ([1, 6, 9], (3, 1)),  # (x+3)^2 under x -> x + 3
+        ],
+    )
+    def test_nilpotent_matrix_collapses_in_one_step(self, coeffs, shift):
+        est = _run(coeffs, shift)
+        assert est.status is RootStatus.DEGENERATE_SEED
+        assert est.iterations == 1
+        assert (est.value, est.decimal_digits) == (0, 0)
+        assert est.shift_used == (AffineShift(*shift) if shift else IDENTITY_SHIFT)
 
 
 class TestEstimateFields:
