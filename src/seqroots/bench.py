@@ -91,11 +91,10 @@ def run_bench(
     cases: Iterable[BenchCase],
     digits: int = 12,
     runs: int = 5,
-    max_iters: int = 10000,
 ) -> list[BenchRow]:
     if runs < 5:
         runs = 5
-    opts = DriverOptions(target_digits=digits, max_iters=max_iters)
+    opts = DriverOptions(target_digits=digits)
     rows = []
     for case in cases:
         exact_seconds, est = _median_time(lambda: _run_exact(case, opts), runs)

@@ -7,7 +7,7 @@ travel as decimal strings in JSON because the terms outgrow fixed-width
 integers within a few dozen steps.
 
 Exit codes: 0 converged/ok, 2 tie detected, 3 iteration budget exhausted,
-4 seed collapsed, 5 estimator cross-check failed, 64 bad usage.
+5 estimator cross-check failed, 64 bad usage.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .sequences import SequenceFamily, default_seed
 EXIT_OK = 0
 EXIT_TIE = 2
 EXIT_MAX_ITERS = 3
-EXIT_DEGENERATE = 4
 EXIT_MISMATCH = 5
 EXIT_USAGE = 64
 
@@ -44,7 +43,6 @@ _STATUS_EXIT = {
     RootStatus.CONVERGED: EXIT_OK,
     RootStatus.TIE_DETECTED: EXIT_TIE,
     RootStatus.MAX_ITERS_EXCEEDED: EXIT_MAX_ITERS,
-    RootStatus.DEGENERATE_SEED: EXIT_DEGENERATE,
 }
 
 
@@ -313,13 +311,19 @@ def render_text(doc: dict) -> str:
 _SIGNED_LISTS = ("--shift", "--seed")
 
 
+def _takes_signed_list(flag: str) -> bool:
+    """``flag`` is one of ``_SIGNED_LISTS`` or an abbreviation of one;
+    argparse still rejects an ambiguous abbreviation such as ``--s``."""
+    return len(flag) > 2 and any(name.startswith(flag) for name in _SIGNED_LISTS)
+
+
 def _join_signed_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--shift -1,1`` as ``--shift=-1,1`` (and ``--seed``
-    likewise): argparse takes a separate ``-1,1`` for an option, not for a
-    value."""
+    """Rewrite ``--shift -1,1`` as ``--shift=-1,1`` (and ``--seed``, and
+    their abbreviations, likewise): argparse takes a separate ``-1,1`` for
+    an option, not for a value."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_LISTS and arg[:1] == "-" and arg[1:2].isdigit():
+        if out and _takes_signed_list(out[-1]) and arg[:1] == "-" and arg[1:2].isdigit():
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -28,10 +28,12 @@ there ends the run as a tie.
 
 ``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``:
 the family of ``p`` under the shift (the identity for ``dominant_root``),
-stepped from the default seed by ``_iterate_family``.  That seed reaches
-the zero vector only when the shifted matrix is nilpotent, ``p = (x-r)^m``
-with ``a + b*r = 0``, and then every seed does, so the run reports the
-collapse and tries no other seed.
+stepped from the default seed by ``_iterate_family``.  Two cases prove
+their root before any step, and return it exactly with 0 iterations: a
+nilpotent shifted matrix, ``p = (x-r)^m`` with ``a + b*r = 0``, whose
+root is ``-a/b`` (every seed would collapse to the zero vector), and
+degree 1, whose root is ``-a_1``.  Every root known exactly, there or in
+enumeration, is reported one way: converged, estimator ``exact``.
 
 The loop around the recurrence stays in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
@@ -90,7 +92,6 @@ from .render import EXACT_AGREEMENT, agreement_digits, decimal_string
 from .sequences import SequenceFamily
 
 ESTIMATOR_CROSS = "cross-ratio"
-ESTIMATOR_SUCCESSIVE = "successive-ratio"
 ESTIMATOR_EXACT = "exact"
 ESTIMATOR_BISECTION = "bisection"
 
@@ -112,7 +113,6 @@ class RootStatus(Enum):
     CONVERGED = "converged"
     TIE_DETECTED = "tie-detected"
     MAX_ITERS_EXCEEDED = "max-iters-exceeded"
-    DEGENERATE_SEED = "degenerate-seed"
 
 
 @dataclass(frozen=True)
@@ -271,34 +271,21 @@ class _TieWindow:
 
 
 def _exact_estimate(
-    value: Fraction, opts: DriverOptions, iterations: int = 0
+    value: Fraction,
+    shift: AffineShift,
+    opts: DriverOptions,
+    iterations: int = 0,
+    peak_bits: int = 0,
 ) -> RootEstimate:
-    digits = max(opts.target_digits, EXACT_AGREEMENT)
+    """The one way a root known exactly is reported."""
     return RootEstimate(
         Fraction(value),
-        digits,
+        max(opts.target_digits, EXACT_AGREEMENT),
         iterations,
         RootStatus.CONVERGED,
-        IDENTITY_SHIFT,
+        shift,
         ESTIMATOR_EXACT,
-    )
-
-
-def _linear_root(
-    p: MonicIntPolynomial, shift_used: AffineShift, opts: DriverOptions
-) -> RootEstimate:
-    """Degree 1: one exact step of the family nails the root."""
-    fam = SequenceFamily(p, keep_history=True)
-    fam.step()
-    value = fam.successive_ratio(1)
-    return RootEstimate(
-        value,
-        max(opts.target_digits, EXACT_AGREEMENT),
-        1,
-        RootStatus.CONVERGED,
-        shift_used,
-        ESTIMATOR_SUCCESSIVE,
-        fam.peak_bits,
+        peak_bits,
     )
 
 
@@ -331,13 +318,11 @@ def _iterate_family(
     finish: Optional[Finisher] = None,
 ) -> RootEstimate:
     """Drive the family of ``p`` under ``shift`` from the default seed until
-    convergence, tie, collapse, or budget end.
+    convergence, tie, or budget end.
 
     The cross ratios approach a root of ``p``; residuals are checked against
     it, and an accepted value is cross-checked by ``_check_successive``.
-    ``budget`` caps steps below ``opts.max_iters`` if given.  A collapse to
-    the zero vector reports ``DEGENERATE_SEED``: the default seed ``e1`` is
-    a cyclic vector of every ``a*I + b*C``, so no other seed would help.
+    ``budget`` caps steps below ``opts.max_iters`` if given.
 
     A step reads its sample as an integer pair (a zero denominator skips
     it) and feeds the exact ``_TieWindow``.  A run of equal renderings grows
@@ -409,9 +394,7 @@ def _iterate_family(
             else:
                 run_length = 1
             if accept is None and run_length >= RENDER_WINDOW:
-                if value is None:
-                    value = family.cross_ratio(1)
-                    rendering = render(value)
+                # the run grew this step, so ``value`` was rendered above
                 if rendering != rejected_render:
                     if _residual_ok(p, value, digits):
                         _check_successive(family, value, opts)
@@ -470,26 +453,28 @@ def _iterate_family(
                 ESTIMATOR_CROSS,
                 family.peak_bits,
             )
+        # No collapse exit: the default seed reaches the zero vector only
+        # under a nilpotent matrix, which ``_single_root`` screens out
+        # before any run (the repeated-root restart included), and an
+        # extraction run iterates a reversed polynomial, whose constant
+        # term K^(m-1) != 0 makes its matrix invertible.
         family.step()
         steps += 1
-        if not any(family.current):
-            return RootEstimate(
-                Fraction(0),
-                0,
-                steps,
-                RootStatus.DEGENERATE_SEED,
-                shift,
-                ESTIMATOR_CROSS,
-                family.peak_bits,
-            )
 
 
 def _single_root(
     p: MonicIntPolynomial, s: AffineShift, opts: DriverOptions
 ) -> RootEstimate:
-    """The one run behind ``dominant_root`` and ``root_via_shift``."""
-    if p.degree == 1:
-        return _linear_root(p, s, opts)
+    """The one run behind ``dominant_root`` and ``root_via_shift``.
+
+    A nilpotent ``a*I + b*C`` has trace ``m*a - b*a_1 = 0``: that O(1)
+    test gates the full check that ``shift_scale(p, s)`` is ``x^m``.
+    """
+    m, a_1 = p.degree, p.coeffs[0]
+    if m * s.a == s.b * a_1 and not any(shift_scale(p, s).coeffs):
+        return _exact_estimate(Fraction(-s.a, s.b), s, opts)
+    if m == 1:
+        return _exact_estimate(Fraction(-a_1), s, opts)
     return _iterate_family(p, s, opts, finish=_finisher(p, s, opts))
 
 
@@ -498,9 +483,10 @@ def dominant_root(
 ) -> RootEstimate:
     """Estimate the root of strictly largest absolute value.
 
-    Reports TieDetected when no such root exists (equal-modulus pair),
-    MaxItersExceeded when the budget runs out first, and DegenerateSeed
-    when ``p = x^m`` (the companion matrix is nilpotent).
+    Reports TieDetected when no such root exists (equal-modulus pair) and
+    MaxItersExceeded when the budget runs out first.  ``p = x^m`` (a
+    nilpotent companion matrix) and degree 1 return their root exactly,
+    with 0 iterations.
     """
     return _single_root(p, IDENTITY_SHIFT, opts)
 
@@ -514,8 +500,9 @@ def root_via_shift(
     ``p``, so cross ratios converge straight to the original root; the
     step-over-step ratio is an independent consistency check at acceptance
     (it must approach ``a + b*value``).  Statuses are those of
-    ``dominant_root``; DegenerateSeed means ``p = (x-r)^m`` with
-    ``a + b*r = 0``.
+    ``dominant_root``.  ``p = (x-r)^m`` with ``a + b*r = 0`` makes the
+    shifted matrix nilpotent: its root ``-a/b`` is returned exactly, with
+    0 iterations, as is the root of a degree-1 ``p``.
     """
     return _single_root(p, s, opts)
 
@@ -706,22 +693,25 @@ def _extract_bracket(
     sample ``_may_render_equal`` admits is mapped back, and one inside the
     bracket is kept once its nearest integer is a root of ``q`` (``exact``)
     or ``_certified`` holds; nothing is rendered, and ``RENDER_WINDOW``
-    does not apply.  When a run stops without one (budget, tie with a
-    complex pair nearer c, collapse), the bracket tightens and the run
-    repeats.
+    does not apply.  When a run stops without one (budget, or a tie with a
+    complex pair nearer c), the bracket tightens and the run repeats.
     Should the bracket pin the root down before any run does, its centre is
-    reported as a bisection estimate, so every call returns a root.
+    reported as a bisection estimate, so every call returns a root.  Every
+    return reports the steps and the peak bits of all its runs.
     """
     digits = opts.target_digits
     budget = EXTRACT_STEPS_PER_DIGIT * digits + 2 * TIE_SPAN
     spent = 0
+    peak = 0
     while True:
         for _ in range(BISECT_STEPS):
             mid = lo + hi
             lo, hi, k = 2 * lo, 2 * hi, k + 1
             s = _sign(eval_homogeneous(q, mid, 1 << k))
             if s == 0:
-                return _exact_estimate(Fraction(mid, 1 << k), opts, iterations=spent)
+                return _exact_estimate(
+                    Fraction(mid, 1 << k), IDENTITY_SHIFT, opts, spent, peak
+                )
             if s == s_lo:
                 lo = mid
             else:
@@ -731,7 +721,7 @@ def _extract_bracket(
         u, v = _lowest_terms(lo + hi, k + 1)
         recentred = shift_scale(q, AffineShift(-u, v))
         if recentred.constant_term == 0:
-            return _exact_estimate(Fraction(u, v), opts, iterations=spent)
+            return _exact_estimate(Fraction(u, v), IDENTITY_SHIFT, opts, spent, peak)
         reversed_poly = reversed_monic(recentred)
         scale = recentred.constant_term
 
@@ -757,9 +747,10 @@ def _extract_bracket(
             reversed_poly, IDENTITY_SHIFT, opts, budget=budget, accept=accept
         )
         spent += est.iterations
+        peak = max(peak, est.peak_bits)
         if est.converged:
             if est.estimator == ESTIMATOR_EXACT:
-                return _exact_estimate(est.value, opts, iterations=spent)
+                return _exact_estimate(est.value, IDENTITY_SHIFT, opts, spent, peak)
             return RootEstimate(
                 est.value,
                 digits,
@@ -767,7 +758,7 @@ def _extract_bracket(
                 RootStatus.CONVERGED,
                 IDENTITY_SHIFT,
                 ESTIMATOR_CROSS,
-                est.peak_bits,
+                peak,
             )
         if _certified(q, lo + hi, 1 << (k + 1), lo, hi, k, s_lo, digits):
             return RootEstimate(
@@ -777,6 +768,7 @@ def _extract_bracket(
                 RootStatus.CONVERGED,
                 IDENTITY_SHIFT,
                 ESTIMATOR_BISECTION,
+                peak,
             )
 
 
@@ -850,14 +842,14 @@ def enumerate_real_roots(
     while q is not None and q.constant_term == 0:
         q = None if q.degree == 1 else deflate_zero_root(q)
     if q is not p:
-        estimates.append(_exact_estimate(Fraction(0), opts))
+        estimates.append(_exact_estimate(Fraction(0), IDENTITY_SHIFT, opts))
     if q is not None:
         q = _square_free(q)
         if q.degree == 1:
-            estimates.append(_linear_root(q, IDENTITY_SHIFT, opts))
+            estimates.append(_exact_estimate(Fraction(-q.coeffs[0]), IDENTITY_SHIFT, opts))
         else:
             exact, intervals = _isolate(q)
-            estimates.extend(_exact_estimate(x, opts) for x in exact)
+            estimates.extend(_exact_estimate(x, IDENTITY_SHIFT, opts) for x in exact)
             estimates.extend(
                 _extract_bracket(q, lo, hi, k, s_lo, opts)
                 for lo, hi, k, s_lo in intervals

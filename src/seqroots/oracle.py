@@ -16,6 +16,15 @@ from types import ModuleType
 from .errors import OracleUnavailableError
 from .poly import MonicIntPolynomial
 
+#: ``durand_kerner`` stops once its largest step is below this.
+STEP_TOL = 1e-12
+#: ``durand_kerner``'s iteration cap, per starting rotation.
+DK_MAX_ITER = 500
+#: ``newton_refine``'s iteration cap.
+NEWTON_MAX_ITER = 60
+#: A root with an imaginary part at most this counts as real.
+IMAG_TOL = 1e-9
+
 
 def _numpy() -> ModuleType:
     try:
@@ -36,19 +45,15 @@ class ComplexRootSet:
     converged: bool
     iterations: int
 
-    def real_roots(self, imag_tol: float = 1e-9) -> tuple[float, ...]:
-        """Real parts of roots with tiny imaginary part, ascending."""
-        return tuple(sorted(z.real for z in self.roots if abs(z.imag) <= imag_tol))
-
-    def by_modulus(self) -> tuple[complex, ...]:
-        """Roots ordered by decreasing absolute value."""
-        return tuple(sorted(self.roots, key=abs, reverse=True))
+    def real_roots(self) -> tuple[float, ...]:
+        """Real parts of roots with an imaginary part of at most
+        ``IMAG_TOL``, ascending."""
+        return tuple(sorted(z.real for z in self.roots if abs(z.imag) <= IMAG_TOL))
 
 
-def durand_kerner(
-    p: MonicIntPolynomial, tol: float = 1e-12, max_iter: int = 500
-) -> ComplexRootSet:
-    """Refine all roots simultaneously until the largest step is below ``tol``.
+def durand_kerner(p: MonicIntPolynomial) -> ComplexRootSet:
+    """Refine all roots simultaneously until the largest step is below
+    ``STEP_TOL``, for at most ``DK_MAX_ITER`` iterations.
 
     Starts on a circle at the root modulus bound, rotated off the real axis
     so conjugate symmetry cannot trap the iteration.  A non-finite
@@ -66,7 +71,7 @@ def durand_kerner(
         z = radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m + angle0))
         ok = False
         used = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, DK_MAX_ITER + 1):
             used = it
             diffs = z[:, None] - z[None, :]
             np.fill_diagonal(diffs, 1.0)
@@ -74,7 +79,7 @@ def durand_kerner(
             z = z - step
             if not np.all(np.isfinite(z)):
                 break
-            if float(np.max(np.abs(step))) < tol:
+            if float(np.max(np.abs(step))) < STEP_TOL:
                 ok = True
                 break
         if np.all(np.isfinite(z)):
@@ -86,7 +91,7 @@ def durand_kerner(
                 used,
             )
     nan = complex(float("nan"), float("nan"))
-    return ComplexRootSet((nan,) * m, (math.inf,) * m, False, max_iter)
+    return ComplexRootSet((nan,) * m, (math.inf,) * m, False, DK_MAX_ITER)
 
 
 def dominance_gap(rs: ComplexRootSet) -> float:
@@ -97,20 +102,19 @@ def dominance_gap(rs: ComplexRootSet) -> float:
     return mods[0] / mods[1]
 
 
-def newton_refine(
-    p: MonicIntPolynomial, x0: float, digits: int, max_iter: int = 60
-) -> tuple[float, int]:
+def newton_refine(p: MonicIntPolynomial, x0: float, digits: int) -> tuple[float, int]:
     """Polish a real root guess with float Newton steps to ``digits`` digits.
 
-    Returns the refined value and the number of steps taken.  Accuracy is
-    capped by double precision regardless of ``digits``.
+    Returns the refined value and the number of steps taken, at most
+    ``NEWTON_MAX_ITER``.  Accuracy is capped by double precision regardless
+    of ``digits``.
     """
     np = _numpy()
     coeffs = np.asarray(p.with_leading(), dtype=np.float64)
     deriv = np.polyder(coeffs)
     x = float(x0)
     tol = 10.0 ** (-digits)
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         dfx = np.polyval(deriv, x)
         if dfx == 0.0:
             return x, it
@@ -118,4 +122,4 @@ def newton_refine(
         x -= step
         if abs(step) <= tol * max(1.0, abs(x)):
             return x, it
-    return x, max_iter
+    return x, NEWTON_MAX_ITER

@@ -90,10 +90,6 @@ class AffineShift:
         if self.b == 0:
             raise ValueError("shift scale b must be nonzero")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 1
-
     def apply(self, value: Rational) -> Fraction:
         """``a + b*value`` as an exact rational."""
         return Fraction(value) * self.b + self.a
@@ -102,24 +98,15 @@ class AffineShift:
 IDENTITY_SHIFT = AffineShift(0, 1)
 
 
-def make_polynomial(
-    values: Sequence[int], includes_leading: bool = True
-) -> MonicIntPolynomial:
-    """Build a polynomial from a coefficient list.
-
-    With ``includes_leading`` the list is ``[1, a_1, ..., a_m]`` and the
-    explicit leading 1 is checked; otherwise the list is ``[a_1, ..., a_m]``.
-    """
+def make_polynomial(values: Sequence[int]) -> MonicIntPolynomial:
+    """Build a polynomial from the coefficient list ``[1, a_1, ..., a_m]``,
+    checking the explicit leading 1."""
     values = list(values)
-    if includes_leading:
-        if not values:
-            raise EmptyInputError("coefficient list is empty")
-        if operator.index(values[0]) != 1:
-            raise NotMonicError(f"leading coefficient must be 1, got {values[0]}")
-        values = values[1:]
     if not values:
-        raise EmptyInputError("polynomial must have degree >= 1")
-    return MonicIntPolynomial(tuple(values))
+        raise EmptyInputError("coefficient list is empty")
+    if operator.index(values[0]) != 1:
+        raise NotMonicError(f"leading coefficient must be 1, got {values[0]}")
+    return MonicIntPolynomial(tuple(values[1:]))
 
 
 def eval_homogeneous(p: MonicIntPolynomial, u: int, v: int) -> int:

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from seqroots.cli import (
-    EXIT_DEGENERATE,
     EXIT_MAX_ITERS,
     EXIT_OK,
     EXIT_TIE,
@@ -110,12 +109,11 @@ class TestRootCommand:
         assert "max-iters-exceeded" in out
 
     def test_collapse_exit_code(self, capsys):
-        # (x+3)^2 under x -> x + 3: the iteration matrix is nilpotent
+        # (x+3)^2 under x -> x + 3: the iteration matrix is nilpotent, which
+        # proves the root -3 before any step
         code, out, _ = run_cli(capsys, "root", "--poly", "1,6,9", "--shift=3,1")
-        assert code == EXIT_DEGENERATE
-        assert out == (
-            "0  status=degenerate-seed  iterations=1  shift=3,1  estimator=cross-ratio\n"
-        )
+        assert code == EXIT_OK
+        assert out == "-3  status=converged  iterations=0  shift=3,1  estimator=exact\n"
 
     def test_json_estimate_fields(self, capsys):
         _, raw, _ = run_cli(capsys, "root", "--poly", "1,2,-1", "--json")
@@ -221,6 +219,26 @@ class TestNegativeValues:
         code, out, err = spaced
         assert (code, err) == (EXIT_OK, "")
         assert any(row.startswith(line) for row in out.splitlines())
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["root", "--poly", "1,-3,-4"], "--shi", "-1,1"),
+            (["root", "--poly", "1,-3,-4"], "--sh", "-1,1"),
+            (["sequences", "--poly", "1,-3,-4", "--steps", "1"], "--se", "-1,2"),
+        ],
+    )
+    def test_abbreviated_flag_matches_full_flag(self, capsys, command, flag, value):
+        full = "--shift" if "--shift".startswith(flag) else "--seed"
+        abbreviated = run_cli(capsys, *command, flag, value)
+        assert abbreviated == run_cli(capsys, *command, full, value)
+        assert abbreviated[0] == EXIT_OK
+
+    def test_ambiguous_abbreviation_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sequences", "--poly", "1,-3,-4", "--s", "-1,2"])
+        assert info.value.code == EXIT_USAGE
+        assert "ambiguous option" in capsys.readouterr().err
 
     def test_missing_value_is_still_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -30,13 +30,15 @@ from seqroots.driver import (
     _certified,
     _extract_bracket as extract_bracket,
     _isolate,
+    _iterate_family as iterate_family,
     _lowest_terms,
     _may_render_equal,
     _square_free,
     _TieWindow,
 )
 from seqroots.poly import eval_rational
-from seqroots.render import decimal_string
+from seqroots.render import EXACT_AGREEMENT, decimal_string
+from seqroots.sequences import SequenceFamily
 
 SQRT2 = math.sqrt(2)
 CBRT2 = 2 ** (1 / 3)
@@ -66,11 +68,10 @@ class TestDominantRoot:
         assert est.shift_used == IDENTITY_SHIFT
         assert abs(float(est.value) - (-1 - SQRT2)) < 1e-10
 
-    def test_linear_is_exact_after_one_step(self):
+    def test_linear_is_exact(self):
         est = dominant_root(make_polynomial([1, -5]))
-        assert est.converged
-        assert est.value == 5
-        assert est.iterations == 1
+        assert (est.status, est.value, est.estimator) == (RootStatus.CONVERGED, 5, "exact")
+        assert est.iterations == 0
 
     def test_equal_modulus_pair_is_a_tie(self):
         est = dominant_root(make_polynomial([1, 0, 1]))
@@ -732,7 +733,7 @@ class TestRepeatedDominantRoot:
             # (x-3)^2 (x+1): settles on the square-free part's run
             ([1, -5, 3, 9], None, RootStatus.CONVERGED, 3, Fraction(1, 10**12), 65),
             # (x-2)^3: the square-free part is linear, so the root is exact
-            ([1, -6, 12, -8], (1, 1), RootStatus.CONVERGED, 2, 0, 40),
+            ([1, -6, 12, -8], (1, 1), RootStatus.CONVERGED, 2, 0, 39),
             # (x-3)^2 (x+3): the square-free part x^2 - 9 ties
             ([1, -3, -9, 27], None, RootStatus.TIE_DETECTED, None, None, 117),
         ],
@@ -757,8 +758,9 @@ class TestRepeatedDominantRoot:
 
 class TestSeedCollapse:
     """The default seed reaches the zero vector only when the iteration
-    matrix is nilpotent, ``p = (x-r)^m`` under a shift with ``a + b*r = 0``;
-    the run then stops after its first step."""
+    matrix is nilpotent, ``p = (x-r)^m`` under a shift with ``a + b*r = 0``.
+    That proves the root ``r = -a/b``, so the run returns it exactly and
+    never steps."""
 
     @pytest.mark.parametrize(
         "coeffs, shift",
@@ -769,11 +771,46 @@ class TestSeedCollapse:
         ],
     )
     def test_nilpotent_matrix_collapses_in_one_step(self, coeffs, shift):
+        shift_used = AffineShift(*shift) if shift else IDENTITY_SHIFT
+        family = SequenceFamily(make_polynomial(coeffs), shift=shift_used)
+        family.step()
+        assert not any(family.current)
         est = _run(coeffs, shift)
-        assert est.status is RootStatus.DEGENERATE_SEED
-        assert est.iterations == 1
-        assert (est.value, est.decimal_digits) == (0, 0)
-        assert est.shift_used == (AffineShift(*shift) if shift else IDENTITY_SHIFT)
+        root = Fraction(-shift_used.a, shift_used.b)
+        assert (est.status, est.value, est.iterations) == (RootStatus.CONVERGED, root, 0)
+        assert (est.estimator, est.decimal_digits) == ("exact", EXACT_AGREEMENT)
+        assert est.shift_used == shift_used
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        r=st.integers(-20, 20),
+        m=st.integers(1, 8),
+        b=st.sampled_from([1, 2, 3, -1, -2, -5]),
+    )
+    def test_nilpotent_shift_returns_its_root_exactly(self, r, m, b):
+        coeffs = [int(c) for c in sympy.Poly((X - r) ** m, X).all_coeffs()]
+        est = _run(coeffs, (-b * r, b))
+        assert (est.status, est.value, est.estimator, est.iterations) == (
+            RootStatus.CONVERGED, r, "exact", 0,
+        )
+
+    @pytest.mark.parametrize(
+        "coeffs, shift, status",
+        [
+            # trace 0 under the identity, but x^2 - 1 has roots 1 and -1
+            ([1, 0, -1], None, RootStatus.TIE_DETECTED),
+            # (x-1)(x-3) under x -> x - 2: trace 0, images -1 and 1
+            ([1, -4, 3], (-2, 1), RootStatus.TIE_DETECTED),
+            # x^3 - 3x + 1: trace 0, three real roots, -1.879 dominates
+            ([1, 0, -3, 1], None, RootStatus.CONVERGED),
+        ],
+    )
+    def test_zero_trace_alone_is_not_a_collapse(self, coeffs, shift, status):
+        a, b = shift or (0, 1)
+        assert (len(coeffs) - 1) * a == b * coeffs[1]
+        est = _run(coeffs, shift)
+        assert est.status is status
+        assert est.iterations > 0
 
 
 class TestEstimateFields:
@@ -785,6 +822,26 @@ class TestEstimateFields:
     def test_decimal_rendering(self):
         est = dominant_root(QUADRATIC)
         assert est.decimal(5) == "-2.4142"
+
+    def test_extraction_reports_the_peak_of_every_round(self):
+        # x^20 - 2(1000x - 1)^2: the root near -2.239 takes four extraction
+        # runs, and the failed ones reach wider integers than the last
+        q = make_polynomial([1] + [0] * 17 + [-2_000_000, 4000, -2])
+        peaks = []
+
+        def spy(*args, **kwargs):
+            est = iterate_family(*args, **kwargs)
+            peaks.append(est.peak_bits)
+            return est
+
+        found = []
+        for bracket in _isolate(q)[1]:
+            peaks.clear()
+            with mock.patch.object(driver, "_iterate_family", spy):
+                est = extract_bracket(q, *bracket, DriverOptions())
+            assert est.peak_bits == max(peaks)
+            found.append((est.value, est.decimal(), peaks[-1], len(peaks), est.peak_bits))
+        assert min(found)[1:] == ("-2.23912721205", 1835, 4, 30569)
 
     def test_peak_bits_grow_with_precision(self):
         small = dominant_root(QUADRATIC, DriverOptions(target_digits=6))

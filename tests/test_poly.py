@@ -35,10 +35,6 @@ class TestMakePolynomial:
         assert p.with_leading() == (1, 2, -1)
         assert p.constant_term == -1
 
-    def test_tail_only(self):
-        p = make_polynomial([2, -1], includes_leading=False)
-        assert p.with_leading() == (1, 2, -1)
-
     def test_rejects_non_monic(self):
         with pytest.raises(NotMonicError):
             make_polynomial([2, 1])
@@ -47,7 +43,7 @@ class TestMakePolynomial:
         with pytest.raises(EmptyInputError):
             make_polynomial([1])
         with pytest.raises(EmptyInputError):
-            make_polynomial([], includes_leading=False)
+            make_polynomial([])
 
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
@@ -148,11 +144,6 @@ class TestAffineShift:
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
             AffineShift(1, 0)
-
-    def test_identity(self):
-        assert IDENTITY_SHIFT.is_identity
-        assert not AffineShift(2, 1).is_identity
-        assert not AffineShift(0, 2).is_identity
 
     def test_apply(self):
         s = AffineShift(2, 3)
