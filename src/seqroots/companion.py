@@ -1,10 +1,11 @@
-"""Companion matrices and exact integer matrix-vector iteration.
+"""The iteration matrix ``M = a*I + b*C`` and its exact product ``M v``.
 
-The companion matrix of ``x^m + a_1 x^(m-1) + ... + a_m`` has first row
-``(-a_1, ..., -a_m)`` and ones on the subdiagonal; its eigenvalues are the
-roots of the polynomial, with eigenvector ``(r^(m-1), ..., r, 1)`` for each
-root ``r``.  Affine images ``a*I + b*R`` shift every eigenvalue to
-``a + b*r`` while leaving eigenvectors untouched.
+The companion matrix ``C`` of ``x^m + a_1 x^(m-1) + ... + a_m`` has first
+row ``(-a_1, ..., -a_m)`` and ones on the subdiagonal; its eigenvalues are
+the roots, with eigenvector ``(r^(m-1), ..., r, 1)`` for each root ``r``.
+``M`` shifts every eigenvalue to ``a + b*r`` and keeps the eigenvectors.
+Its other rows hold only ``a`` on the diagonal and ``b`` beside it, so
+``M`` is stored as its first row and ``(a, b)``.
 """
 
 from __future__ import annotations
@@ -14,63 +15,61 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .poly import AffineShift, MonicIntPolynomial
+from .poly import IDENTITY_SHIFT, AffineShift, MonicIntPolynomial
 
 IntVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class CompanionMatrix:
-    """Dense square integer matrix; companion structure is not re-checked
-    after affine transforms (those leave companion form in general)."""
+class IterationMatrix:
+    """``a*I + b*C``: its first row ``top`` and the shift ``(a, b)``."""
 
-    rows: tuple[IntVector, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    top: IntVector
+    a: int
+    b: int
 
 
-def companion_of(p: MonicIntPolynomial) -> CompanionMatrix:
-    """Companion matrix of ``p``; its characteristic polynomial is ``p``."""
-    m = p.degree
-    zeros = (0,) * m
-    first = tuple([-a for a in p.coeffs])
-    return CompanionMatrix(
-        (first, *[zeros[: i - 1] + (1,) + zeros[i:] for i in range(1, m)])
-    )
+def iteration_matrix(
+    p: MonicIntPolynomial, s: AffineShift = IDENTITY_SHIFT
+) -> IterationMatrix:
+    """``a*I + b*C`` for ``s = (a, b)``, with characteristic polynomial
+    ``shift_scale(p, s)``.
+
+    >>> from seqroots import AffineShift, make_polynomial
+    >>> iteration_matrix(make_polynomial([1, 0, 0, -2]), AffineShift(1, 1))
+    IterationMatrix(top=(1, 0, 2), a=1, b=1)
+    """
+    top = [-s.b * c for c in p.coeffs]
+    top[0] += s.a
+    return IterationMatrix(tuple(top), s.a, s.b)
 
 
-def affine(c: CompanionMatrix, s: AffineShift) -> CompanionMatrix:
-    """``a*I + b*C``: eigenvalues become ``a + b*lambda``, eigenvectors unchanged."""
-    a, b = s.a, s.b
-    rows = []
-    for i, row in enumerate(c.rows):
-        scaled = tuple([b * entry for entry in row])
-        rows.append(scaled[:i] + (scaled[i] + a,) + scaled[i + 1 :])
-    return CompanionMatrix(tuple(rows))
+def mat_vec(c: IterationMatrix, v: Sequence[int]) -> IntVector:
+    """Exact product ``M v``: ``top . v`` first, then ``a*v[i] + b*v[i-1]``.
 
-
-def mat_vec(c: CompanionMatrix, v: Sequence[int]) -> IntVector:
-    """Exact integer matrix-vector product."""
-    if len(v) != c.dim:
-        raise DimensionMismatchError(f"vector has dim {len(v)}, matrix has dim {c.dim}")
-    return tuple([sum(map(mul, row, v)) for row in c.rows])
+    >>> from seqroots import make_polynomial
+    >>> mat_vec(iteration_matrix(make_polynomial([1, 2, -1])), (-2, 1))
+    (5, -2)
+    """
+    top, a, b = c.top, c.a, c.b
+    if len(v) != len(top):
+        raise DimensionMismatchError(f"vector has dim {len(v)}, matrix has dim {len(top)}")
+    return (sum(map(mul, top, v)), *[a * x + b * y for x, y in zip(v[1:], v)])
 
 
 def cayley_hamilton_residual(
-    p: MonicIntPolynomial, c: CompanionMatrix
+    p: MonicIntPolynomial, c: IterationMatrix
 ) -> tuple[IntVector, ...]:
     """Evaluate ``p`` at the matrix ``c`` by exact arithmetic.
 
-    For ``c = companion_of(p)`` the result is the zero matrix (a matrix
+    For ``c = iteration_matrix(p)`` the result is the zero matrix (a matrix
     satisfies its own characteristic polynomial).  Columns are built by
     Horner steps using only matrix-vector products; no matrix power is
     ever materialized.
     """
-    if c.dim != p.degree:
-        raise DimensionMismatchError(f"matrix dim {c.dim} != degree {p.degree}")
-    m = c.dim
+    m = len(c.top)
+    if m != p.degree:
+        raise DimensionMismatchError(f"matrix dim {m} != degree {p.degree}")
     cols = []
     for k in range(m):
         basis = tuple(1 if i == k else 0 for i in range(m))

@@ -117,6 +117,11 @@ class RootStatus(Enum):
 
 @dataclass(frozen=True)
 class DriverOptions:
+    """``max_iters`` bounds a single-root run, a repeated root's restart
+    included, and, separately, each extraction run: a handover may add the
+    extraction's steps (``x^2-9x+6`` under ``(-4, 1)`` converges at 41 of 40).
+    """
+
     target_digits: int = 12
     max_iters: int = 10000
 
@@ -173,9 +178,9 @@ Acceptor = Callable[[int, int], Optional[tuple[Fraction, str]]]
 #: A spread ``num / den`` of ratio samples as ``(num, den)`` with ``den > 0``.
 Spread = tuple[int, int]
 
-#: Maps the last sample and the tie window's newer and older spreads to a
-#: finished estimate, or None to keep stepping.
-Finisher = Callable[[Sample, Spread, Spread], Optional[RootEstimate]]
+#: Maps the last sample, the tie window's newer and older spreads and the
+#: steps left to a finished estimate, or None to keep stepping.
+Finisher = Callable[[Sample, Spread, Spread, int], Optional[RootEstimate]]
 
 
 def _may_render_equal(x: Sample, y: Sample, scale: int) -> bool:
@@ -339,10 +344,10 @@ def _iterate_family(
     tie window is full and has not fired, every ``TIE_SPAN`` samples the
     last sample and the window's two spreads go to ``finish``, unless the
     last two samples already agree to ``D - 4`` digits (such a run is about
-    to settle).  The first estimate it returns ends the run with that
-    estimate's status (the run on the square-free part may tie), its
-    steps and peak bits added to the run's own.  A run that settles or ties
-    first is unchanged.
+    to settle), with the steps left.  The first estimate it returns ends the
+    run with that estimate's status (the run on the square-free part may
+    tie), its steps and peak bits added to the run's own.  A run that
+    settles or ties first is unchanged.
     """
     family = SequenceFamily(p, shift=shift)
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
@@ -431,7 +436,7 @@ def _iterate_family(
                 and tie.count % TIE_SPAN == 0
                 and not _may_render_equal(prev, last, near_scale)
             ):
-                finished = finish(last, *tie.spreads())
+                finished = finish(last, *tie.spreads(), limit - steps)
                 if finished is not None:
                     return RootEstimate(
                         finished.value,
@@ -463,9 +468,10 @@ def _iterate_family(
 
 
 def _single_root(
-    p: MonicIntPolynomial, s: AffineShift, opts: DriverOptions
+    p: MonicIntPolynomial, s: AffineShift, opts: DriverOptions, budget: Optional[int] = None
 ) -> RootEstimate:
-    """The one run behind ``dominant_root`` and ``root_via_shift``.
+    """The one run behind ``dominant_root`` and ``root_via_shift``, and a
+    repeated root's restart, which passes the ``budget`` left.
 
     A nilpotent ``a*I + b*C`` has trace ``m*a - b*a_1 = 0``: that O(1)
     test gates the full check that ``shift_scale(p, s)`` is ``x^m``.
@@ -475,7 +481,7 @@ def _single_root(
         return _exact_estimate(Fraction(-s.a, s.b), s, opts)
     if m == 1:
         return _exact_estimate(Fraction(-a_1), s, opts)
-    return _iterate_family(p, s, opts, finish=_finisher(p, s, opts))
+    return _iterate_family(p, s, opts, budget=budget, finish=_finisher(p, s, opts))
 
 
 def dominant_root(
@@ -781,8 +787,9 @@ def _finisher(
     When the square-free part ``q`` of ``p``, built on first use, has a
     lower degree, ``p`` has a repeated root: a run whose dominant root is
     repeated converges like ``1/k``, so no bracket below would hold its
-    root.  The run is handed to ``_single_root(q, shift)`` instead.  ``q`` has the same distinct
-    roots, each simple, so the same root dominates, or the same tie shows.
+    root.  The run is handed to ``_single_root(q, shift)`` instead, with
+    the steps left.  ``q`` has the same distinct roots, each simple, so the
+    same root dominates, or the same tie shows.
 
     Otherwise the bracket is centred on the last sample ``c = n/d``.  With
     ``s`` the newer spread and ``theta = s / s_old`` the window's
@@ -795,12 +802,14 @@ def _finisher(
     """
     q: Optional[MonicIntPolynomial] = None
 
-    def finish(sample: Sample, newer: Spread, older: Spread) -> Optional[RootEstimate]:
+    def finish(
+        sample: Sample, newer: Spread, older: Spread, left: int
+    ) -> Optional[RootEstimate]:
         nonlocal q
         if q is None:
             q = _square_free(p)
         if q.degree < p.degree:
-            return _single_root(q, shift, opts)
+            return _single_root(q, shift, opts, left)
         n, d = sample
         a, b = newer
         c, e = older

@@ -5,10 +5,10 @@ Given a monic integer polynomial ``p`` of degree ``m`` and an affine shift
 together: the state vectors are ``S_j = M^j S_0`` for the iteration matrix
 ``M = a*I + b*C``, ``C`` the companion matrix of ``p`` (``a = 0`` and
 ``b = 1`` by default).  The characteristic polynomial of ``M`` is
-``shift_scale(p, shift)``.  Because all rows of ``M`` but the first are
-``b`` on the subdiagonal and ``a`` on the diagonal, one step is a single
-dot product of the first row with the current vector, which gives the new
-first component, plus a shift of the others:
+``shift_scale(p, shift)``.  The family keeps ``M`` as a
+``companion.IterationMatrix``, and each step is one ``companion.mat_vec``:
+a dot product of the first row with the current vector, which gives the
+new first component, plus a shift of the others:
 
     S_(j+1)[0] = M[0] . S_j,    S_(j+1)[i] = a*S_j[i] + b*S_j[i-1]
 
@@ -26,10 +26,10 @@ stores ``M^j S_0`` exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index, mul
+from operator import index
 from typing import Optional, Sequence
 
-from .companion import IntVector, affine, companion_of, mat_vec
+from .companion import IntVector, iteration_matrix, mat_vec
 from .errors import (
     DimensionMismatchError,
     OutOfRangeError,
@@ -49,7 +49,7 @@ class SequenceFamily:
 
     Distinct families share nothing and may run concurrently; a single
     family must not be stepped from two tasks at once.  The family iterates
-    ``a*I + b*companion_of(poly)`` for ``shift = (a, b)``; its cross ratios
+    ``self.matrix = iteration_matrix(poly, shift)``; its cross ratios
     approach a root of ``poly``.  Seed components must be integers
     (``TypeError`` otherwise).
     """
@@ -70,23 +70,17 @@ class SequenceFamily:
             raise DimensionMismatchError(f"seed has dim {len(seed)}, need {m}")
         if not any(seed):
             raise ZeroSeedError("seed vector is zero")
-        matrix = affine(companion_of(poly), shift)
-
         self.poly = poly
         self.shift = shift
-        self.matrix = matrix
+        self.matrix = iteration_matrix(poly, shift)
         self._m = m
-        self._top = matrix.rows[0]
-        self._a, self._b = shift.a, shift.b
         self._window: list[IntVector] = []
         self._history: Optional[list[IntVector]] = [] if keep_history else None
         self.peak_bits = 0
 
-        vec = seed
-        self._store(vec)
+        self._store(seed)
         for _ in range(m - 1):
-            vec = mat_vec(matrix, vec)
-            self._store(vec)
+            self._store(mat_vec(self.matrix, self._window[-1]))
         self.j = m - 1
 
     # -- state ------------------------------------------------------------
@@ -130,15 +124,9 @@ class SequenceFamily:
     # -- advancing --------------------------------------------------------
 
     def step(self) -> None:
-        """Advance by one index: the new vector is ``M v`` for the current
-        ``v``, computed as one dot product with the first row of ``M`` plus
-        the shift ``a*v[i] + b*v[i-1]``."""
-        v = self._window[-1]
-        a, b = self._a, self._b
-        head = sum(map(mul, self._top, v))
-        new = (head, *[a * x + b * y for x, y in zip(v[1:], v)])
+        """Advance by one index: the new vector is ``M v`` for the current ``v``."""
         self.j += 1
-        self._store(new)
+        self._store(mat_vec(self.matrix, self._window[-1]))
 
     def run_to(self, j: int) -> None:
         """Step until the current index reaches ``j``."""

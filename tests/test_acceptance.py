@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
 
-from test_sequences import GOLDEN_CUBIC
+from test_sequences import GOLDEN_CUBIC, dense_matrix, dense_product
 
 from seqroots import (
     AffineShift,
@@ -24,7 +24,6 @@ from seqroots import (
     root_via_shift,
 )
 from seqroots.bench import builtin_cases, format_report, run_bench
-from seqroots.companion import companion_of, mat_vec
 from seqroots.poly import shift_scale
 from seqroots.render import decimal_string
 
@@ -123,11 +122,11 @@ def test_criterion_7_recurrence_equals_matrix_powers(corpus):
         for entry in corpus:
             fam = SequenceFamily(entry.poly, keep_history=True)
             fam.run_to(200)
-            matrix = companion_of(entry.poly)
+            rows = dense_matrix(entry.poly)
             vec = fam.vector(0)
             for j in range(201):
                 assert fam.vector(j) == vec, (entry.poly, j)
-                vec = mat_vec(matrix, vec)
+                vec = dense_product(rows, vec)
         assert time.perf_counter() - started < 30.0
 
 

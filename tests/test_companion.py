@@ -1,53 +1,79 @@
-"""Companion matrices, affine images, and exact matrix-vector products."""
+"""The iteration matrix ``a*I + b*C`` and its exact matrix-vector product.
+
+Golden matrices are read back column by column, as the products ``M e_k``
+of the basis vectors, so each pins ``mat_vec`` as well as ``top``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sequences import dense_matrix, dense_product
 
 from seqroots import AffineShift, DimensionMismatchError, make_polynomial
-from seqroots.companion import affine, cayley_hamilton_residual, companion_of, mat_vec
+from seqroots.companion import (
+    IterationMatrix,
+    cayley_hamilton_residual,
+    iteration_matrix,
+    mat_vec,
+)
+from seqroots.poly import shift_scale
+
+
+def dense_by_products(c):
+    """The dense rows of ``c``, from the products of the basis vectors."""
+    m = len(c.top)
+    cols = [mat_vec(c, tuple(int(i == k) for i in range(m))) for k in range(m)]
+    return tuple(tuple(col[i] for col in cols) for i in range(m))
 
 
 class TestCompanionOf:
     def test_quadratic_layout(self):
-        c = companion_of(make_polynomial([1, 2, -1]))
-        assert c.rows == ((-2, 1), (1, 0))
-        assert c.dim == 2
+        c = iteration_matrix(make_polynomial([1, 2, -1]))
+        assert c == IterationMatrix((-2, 1), 0, 1)
+        assert dense_by_products(c) == ((-2, 1), (1, 0))
 
     def test_cubic_layout(self):
-        c = companion_of(make_polynomial([1, 0, 0, -2]))
-        assert c.rows == ((0, 0, 2), (1, 0, 0), (0, 1, 0))
+        c = iteration_matrix(make_polynomial([1, 0, 0, -2]))
+        assert c.top == (0, 0, 2)
+        assert dense_by_products(c) == ((0, 0, 2), (1, 0, 0), (0, 1, 0))
 
 
 class TestAffine:
     def test_shifted_cubic_matches_known_matrix(self):
-        c = companion_of(make_polynomial([1, 0, 0, -2]))
-        shifted = affine(c, AffineShift(1, 1))
-        assert shifted.rows == ((1, 0, 2), (1, 1, 0), (0, 1, 1))
+        c = iteration_matrix(make_polynomial([1, 0, 0, -2]), AffineShift(1, 1))
+        assert c == IterationMatrix((1, 0, 2), 1, 1)
+        assert dense_by_products(c) == ((1, 0, 2), (1, 1, 0), (0, 1, 1))
 
     def test_shifted_quadratic_matches_known_matrix(self):
-        c = companion_of(make_polynomial([1, 2, -1]))
-        shifted = affine(c, AffineShift(2, 1))
-        assert shifted.rows == ((0, 1), (1, 2))
+        c = iteration_matrix(make_polynomial([1, 2, -1]), AffineShift(2, 1))
+        assert c.top == (0, 1)
+        assert dense_by_products(c) == ((0, 1), (1, 2))
 
     def test_identity_leaves_matrix_alone(self):
-        c = companion_of(make_polynomial([1, 4, -3, 7]))
-        assert affine(c, AffineShift(0, 1)) == c
+        p = make_polynomial([1, 4, -3, 7])
+        assert iteration_matrix(p, AffineShift(0, 1)) == iteration_matrix(p)
+        assert iteration_matrix(p) == IterationMatrix((-4, 3, -7), 0, 1)
 
     def test_scale_multiplies_entries(self):
-        c = companion_of(make_polynomial([1, 2, -1]))
-        doubled = affine(c, AffineShift(0, 2))
-        assert doubled.rows == ((-4, 2), (2, 0))
+        c = iteration_matrix(make_polynomial([1, 2, -1]), AffineShift(0, 2))
+        assert c.top == (-4, 2)
+        assert dense_by_products(c) == ((-4, 2), (2, 0))
 
 
 class TestMatVec:
     def test_known_product(self):
-        c = companion_of(make_polynomial([1, 2, -1]))
+        c = iteration_matrix(make_polynomial([1, 2, -1]))
         assert mat_vec(c, (1, 0)) == (-2, 1)
         assert mat_vec(c, (-2, 1)) == (5, -2)
 
+    def test_degree_one_product(self):
+        # one component: only the dot product with ``top``, here 2 - 3
+        c = iteration_matrix(make_polynomial([1, -3]), AffineShift(2, -1))
+        assert c.top == (-1,)
+        assert mat_vec(c, (5,)) == (-5,)
+
     def test_dimension_check(self):
-        c = companion_of(make_polynomial([1, 2, -1]))
+        c = iteration_matrix(make_polynomial([1, 2, -1]))
         with pytest.raises(DimensionMismatchError):
             mat_vec(c, (1, 0, 0))
 
@@ -55,29 +81,38 @@ class TestMatVec:
 class TestCayleyHamilton:
     def test_companion_satisfies_own_polynomial(self, corpus):
         for entry in corpus[:20]:
-            c = companion_of(entry.poly)
+            c = iteration_matrix(entry.poly)
             residual = cayley_hamilton_residual(entry.poly, c)
             assert all(all(x == 0 for x in row) for row in residual)
 
     def test_shifted_matrix_satisfies_shifted_polynomial(self):
-        from seqroots.poly import shift_scale
-
         p = make_polynomial([1, 0, 0, -2])
         s = AffineShift(1, 1)
-        shifted = affine(companion_of(p), s)
-        q = shift_scale(p, s)
-        residual = cayley_hamilton_residual(q, shifted)
+        residual = cayley_hamilton_residual(shift_scale(p, s), iteration_matrix(p, s))
         assert all(all(x == 0 for x in row) for row in residual)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        tail=st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+        a=st.integers(-9, 9),
+        b=st.integers(-9, 9).filter(bool),
+    )
+    def test_every_shift_satisfies_its_shifted_polynomial(self, tail, a, b):
+        p = make_polynomial([1, *tail])
+        s = AffineShift(a, b)
+        residual = cayley_hamilton_residual(shift_scale(p, s), iteration_matrix(p, s))
+        assert not any(any(row) for row in residual)
 
     def test_wrong_polynomial_leaves_nonzero_residual(self):
         p = make_polynomial([1, 2, -1])
         other = make_polynomial([1, 0, -1])
-        residual = cayley_hamilton_residual(other, companion_of(p))
+        residual = cayley_hamilton_residual(other, iteration_matrix(p))
         assert any(any(x != 0 for x in row) for row in residual)
 
 
 class TestAgainstEntrywiseDefinitions:
-    """The row-slice builders agree with the matrices defined entry by entry."""
+    """The structured product agrees with the dense matrix ``a*I + b*C``
+    defined entry by entry."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -87,18 +122,9 @@ class TestAgainstEntrywiseDefinitions:
         v=st.lists(st.integers(-(10**20), 10**20), min_size=9, max_size=9),
     )
     def test_companion_affine_and_product(self, tail, a, b, v):
-        m = len(tail)
-        c = companion_of(make_polynomial([1, *tail]))
-        assert c.rows == (
-            tuple(-x for x in tail),
-            *(tuple(int(k == i - 1) for k in range(m)) for i in range(1, m)),
-        )
-        shifted = affine(c, AffineShift(a, b))
-        assert shifted.rows == tuple(
-            tuple(b * entry + (a if i == k else 0) for k, entry in enumerate(row))
-            for i, row in enumerate(c.rows)
-        )
-        v = v[:m]
-        assert mat_vec(shifted, v) == tuple(
-            sum(entry * x for entry, x in zip(row, v)) for row in shifted.rows
-        )
+        p, s = make_polynomial([1, *tail]), AffineShift(a, b)
+        dense = dense_matrix(p, s)
+        c = iteration_matrix(p, s)
+        assert c == IterationMatrix(tuple(dense[0]), a, b)
+        v = v[:len(tail)]
+        assert mat_vec(c, v) == dense_product(dense, v)

@@ -693,6 +693,16 @@ class TestHandover:
         assert not calls
         assert (est.status, est.iterations) == (RootStatus.CONVERGED, steps)
 
+    def test_extraction_runs_on_its_own_budget(self):
+        # max_iters bounds the linear phase and, separately, the extraction
+        # it hands over to, so the two together may pass max_iters
+        with handovers() as calls:
+            est = root_via_shift(
+                make_polynomial([1, -9, 6]), AffineShift(-4, 1), DriverOptions(max_iters=40)
+            )
+        assert len(calls) == 1
+        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 41)
+
     @pytest.mark.parametrize(
         "coeffs, shift",
         [([1, 0, -4], None), ([1, 0, 0, -2], None), ([1, 2, -1], (1, 1))],
@@ -736,6 +746,8 @@ class TestRepeatedDominantRoot:
             ([1, -6, 12, -8], (1, 1), RootStatus.CONVERGED, 2, 0, 39),
             # (x-3)^2 (x+3): the square-free part x^2 - 9 ties
             ([1, -3, -9, 27], None, RootStatus.TIE_DETECTED, None, None, 117),
+            # (x-3)^2 (x-2): settles like (x-3)^2 (x+1), from a poorer gap
+            ([1, -8, 21, -18], None, RootStatus.CONVERGED, 3, Fraction(1, 10**11), 102),
         ],
     )
     def test_finishes_on_the_square_free_part(self, coeffs, shift, status, value, tol, steps):
@@ -745,6 +757,14 @@ class TestRepeatedDominantRoot:
         assert est.shift_used == (AffineShift(*shift) if shift else IDENTITY_SHIFT)
         if value is not None:
             assert abs(est.value - value) <= value * tol
+
+    @pytest.mark.parametrize("max_iters", [40, 41, 45, 60, 80])
+    def test_restart_spends_only_the_budget_left(self, max_iters):
+        # (x-3)^2 (x-2) starts over at its 40th sample, on the steps left
+        est = dominant_root(
+            make_polynomial([1, -8, 21, -18]), DriverOptions(max_iters=max_iters)
+        )
+        assert (est.status, est.iterations) == (RootStatus.MAX_ITERS_EXCEEDED, max_iters)
 
     @pytest.mark.parametrize("coeffs", [[1, 0, 0, -2], [1, -5, 3, 9], [1, -6, 12, -8]])
     def test_square_free_part(self, coeffs):

@@ -22,12 +22,30 @@ from seqroots import (
     ZeroSeedError,
     make_polynomial,
 )
-from seqroots.companion import affine, companion_of, mat_vec
+from seqroots.companion import IterationMatrix, mat_vec
 from seqroots.poly import shift_scale
 from seqroots.render import decimal_string
 
 QUADRATIC = make_polynomial([1, 2, -1])
 CUBIC = make_polynomial([1, 0, 0, -2])
+
+
+def dense_matrix(poly, shift=IDENTITY_SHIFT):
+    """``a*I + b*C`` entry by entry: the companion matrix ``C`` of ``poly``
+    has first row ``-a_1, ..., -a_m`` and ones on the subdiagonal.  The
+    reference for the family's products, independent of ``mat_vec``."""
+    m = poly.degree
+
+    def entry(i, k):
+        c = -poly.coeffs[k] if i == 0 else int(k == i - 1)
+        return shift.b * c + (shift.a if i == k else 0)
+
+    return [[entry(i, k) for k in range(m)] for i in range(m)]
+
+
+def dense_product(rows, v):
+    return tuple(sum(e * x for e, x in zip(row, v)) for row in rows)
+
 
 # x^2+2x-1, seed (1,0): columns S(1), S(2); ratio rendered at 5 digits
 GOLDEN_PLAIN = [
@@ -120,7 +138,7 @@ class TestGoldenShiftedQuadratic:
 
     def test_iteration_matrix(self):
         fam = SequenceFamily(QUADRATIC, shift=AffineShift(2, 1))
-        assert fam.matrix.rows == ((0, 1), (1, 2))
+        assert fam.matrix == IterationMatrix((0, 1), 2, 1)
 
     def test_terms_and_ratios(self):
         fam = SequenceFamily(QUADRATIC, shift=AffineShift(2, 1), keep_history=True)
@@ -154,11 +172,11 @@ class TestGoldenShiftedCubic:
         # lies on the orbit of the iteration matrix
         fam = SequenceFamily(CUBIC, [1, 1, 0], shift=AffineShift(1, 1), keep_history=True)
         fam.run_to(25)
-        matrix = fam.matrix
+        rows = dense_matrix(CUBIC, AffineShift(1, 1))
         vec = (1, 1, 0)
         for j in range(26):
             assert fam.vector(j) == vec
-            vec = mat_vec(matrix, vec)
+            vec = dense_product(rows, vec)
 
 
 class TestConstruction:
@@ -219,6 +237,30 @@ class TestConstructionCost:
         assert list(fam.window[:-1]) == calls
 
 
+class TestStepCost:
+    """A step is one ``mat_vec`` call through ``seqroots.sequences``: the
+    benchmark's ``matvec`` layer counts products through that name, so a
+    step that computed ``M v`` another way would drop out of it."""
+
+    @pytest.mark.parametrize("shift", [IDENTITY_SHIFT, AffineShift(-3, 2)])
+    def test_step_is_one_product(self, monkeypatch, shift):
+        import seqroots.sequences
+
+        fam = SequenceFamily(CUBIC, shift=shift)
+        calls = []
+
+        def counting(c, v):
+            calls.append((c, v))
+            return mat_vec(c, v)
+
+        monkeypatch.setattr(seqroots.sequences, "mat_vec", counting)
+        before = fam.current
+        fam.step()
+        assert calls == [(fam.matrix, before)]
+        fam.run_to(10)
+        assert len(calls) == 10 - 2
+
+
 class TestAccessors:
     def test_term_index_bounds(self):
         fam = SequenceFamily(QUADRATIC, keep_history=True)
@@ -251,11 +293,11 @@ class TestRecurrenceEqualsMatrixPowers:
         for entry in corpus[:10]:
             fam = SequenceFamily(entry.poly, keep_history=True)
             fam.run_to(60)
-            mat = companion_of(entry.poly)
+            rows = dense_matrix(entry.poly)
             vec = fam.vector(0)
             for j in range(61):
                 assert fam.vector(j) == vec
-                vec = mat_vec(mat, vec)
+                vec = dense_product(rows, vec)
 
 
 class TestShiftInvariantCrossRatios:
@@ -275,18 +317,18 @@ class TestShiftInvariantCrossRatios:
 
 
 
-def _matrix_orbit(matrix, seed, steps):
+def _matrix_orbit(rows, seed, steps):
     vecs = [tuple(seed)]
     for _ in range(steps):
-        vecs.append(mat_vec(matrix, vecs[-1]))
+        vecs.append(dense_product(rows, vecs[-1]))
     return vecs
 
 
-def _recurrence_orbit(poly, matrix, seed, steps):
-    """Reference orbit: the first m vectors by matrix products, then
+def _recurrence_orbit(poly, rows, seed, steps):
+    """Reference orbit: the first m vectors by dense products, then
     ``S_j = -a_1 S_(j-1) - ... - a_m S_(j-m)`` componentwise."""
     m = poly.degree
-    vecs = _matrix_orbit(matrix, seed, m - 1)
+    vecs = _matrix_orbit(rows, seed, m - 1)
     for j in range(m, steps + 1):
         vecs.append(
             tuple(
@@ -316,7 +358,8 @@ def _families(draw):
 
 
 class TestStepEqualsMatrixOrbit:
-    """The step (one dot product and a shift) computes ``M v`` exactly."""
+    """The step (one ``mat_vec``: a dot product and a shift) computes
+    ``M v`` exactly, as the dense product defined entry by entry does."""
 
     STEPS = 60
 
@@ -325,9 +368,9 @@ class TestStepEqualsMatrixOrbit:
     def test_vectors_and_peak_bits(self, family, keep_history):
         poly, shift, seed = family
         fam = SequenceFamily(poly, seed, shift=shift, keep_history=keep_history)
-        matrix = affine(companion_of(poly), shift)
-        orbit = _matrix_orbit(matrix, seed, self.STEPS)
-        assert orbit == _recurrence_orbit(shift_scale(poly, shift), matrix, seed, self.STEPS)
+        rows = dense_matrix(poly, shift)
+        orbit = _matrix_orbit(rows, seed, self.STEPS)
+        assert orbit == _recurrence_orbit(shift_scale(poly, shift), rows, seed, self.STEPS)
         peaks = list(accumulate((max(c.bit_length() for c in v) for v in orbit), max))
         for j, expected in enumerate(orbit):
             fam.run_to(j)
