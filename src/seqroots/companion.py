@@ -47,6 +47,8 @@ def iteration_matrix(
 def mat_vec(c: IterationMatrix, v: Sequence[int]) -> IntVector:
     """Exact product ``M v``: ``top . v`` first, then ``a*v[i] + b*v[i-1]``.
 
+    Under the identity shift ``(0, 1)`` the rest is ``v[i-1]``, a copy.
+
     >>> from seqroots import make_polynomial
     >>> mat_vec(iteration_matrix(make_polynomial([1, 2, -1])), (-2, 1))
     (5, -2)
@@ -54,6 +56,8 @@ def mat_vec(c: IterationMatrix, v: Sequence[int]) -> IntVector:
     top, a, b = c.top, c.a, c.b
     if len(v) != len(top):
         raise DimensionMismatchError(f"vector has dim {len(v)}, matrix has dim {len(top)}")
+    if a == 0 and b == 1:
+        return (sum(map(mul, top, v)), *v[:-1])
     return (sum(map(mul, top, v)), *[a * x + b * y for x, y in zip(v[1:], v)])
 
 

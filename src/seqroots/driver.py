@@ -24,7 +24,9 @@ certified.  Runs that settle or tie before a handover are unchanged.  A
 repeated dominant root converges like ``1/k``, so no bracket holds it: a
 polynomial with a repeated root instead starts over on its square-free
 part at the first handover point, under the same shift, and a tie found
-there ends the run as a tie.
+there ends the run as a tie.  If the second run's steps run out, it
+reports whichever of its last sample and the handed-over one has the
+smaller exact ``|q(x)|`` on the square-free part ``q``.
 
 ``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``:
 the family of ``p`` under the shift (the identity for ``dominant_root``),
@@ -48,6 +50,10 @@ Samples are rendered only when two consecutive ones can render equal:
 renderings that coincide at D significant digits satisfy
 ``|x - y| * 10^(D-1) <= 2 * max(|x|, |y|)``, and a pair that fails this
 integer test resets the run without a ``Fraction`` or a ``Decimal``.
+Renderings compare as strings, and as ``Decimal`` only when the strings
+differ ("3" and "3.00000000000" name one number).  The residual test and
+the step-over-step cross-check that accept a settled value are each one
+integer inequality, cross-multiplied from their ``Fraction`` forms.
 
 Enumeration of all real roots isolates, then extracts, then certifies.
 The square-free part of the polynomial is split into disjoint intervals
@@ -162,11 +168,15 @@ def _sign(x: int) -> int:
 
 
 def _residual_ok(p: MonicIntPolynomial, r: Fraction, target_digits: int) -> bool:
-    """Exact check of |p(r)| / max(1, |r|)^m < 10^-(target_digits // 2)."""
+    """Exact check of |p(r)| / max(1, |r|)^m < 10^-(target_digits // 2).
+
+    With ``r = u/v`` and ``p(r) = n/e`` (``v, e > 0``) this is the integer
+    inequality ``|n| * 10^half * v^m < max(v, |u|)^m * e``.
+    """
     half = max(1, target_digits // 2)
-    res = abs(eval_rational(p, r))
-    scale = max(Fraction(1), abs(r)) ** p.degree
-    return res * 10**half < scale
+    res = eval_rational(p, r)
+    m, u, v = p.degree, r.numerator, r.denominator
+    return abs(res.numerator) * 10**half * v**m < max(v, abs(u)) ** m * res.denominator
 
 
 #: A ratio sample ``n / d`` as the integer pair ``(n, d)`` with ``d > 0``.
@@ -178,9 +188,16 @@ Acceptor = Callable[[int, int], Optional[tuple[Fraction, str]]]
 #: A spread ``num / den`` of ratio samples as ``(num, den)`` with ``den > 0``.
 Spread = tuple[int, int]
 
-#: Maps the last sample, the tie window's newer and older spreads and the
-#: steps left to a finished estimate, or None to keep stepping.
-Finisher = Callable[[Sample, Spread, Spread, int], Optional[RootEstimate]]
+#: Maps the last two samples, the tie window's newer and older spreads and
+#: the steps left to a finished estimate, or None to keep stepping.
+Finisher = Callable[[Sample, Sample, Spread, Spread, int], Optional[RootEstimate]]
+
+
+def _renders_equal(x: str, y: Optional[str]) -> bool:
+    """Two renderings name the same number.  Equal strings settle it; only
+    strings that differ are compared as ``Decimal``, since an exact sample
+    renders short ("3") and its neighbours long ("3.00000000000")."""
+    return x == y or (y is not None and Decimal(x) == Decimal(y))
 
 
 def _may_render_equal(x: Sample, y: Sample, scale: int) -> bool:
@@ -224,29 +241,26 @@ class _TieWindow:
         # (num, den) of each spread, den > 0
         self._spreads: deque[Spread] = deque(maxlen=span + 1)
 
-    @staticmethod
-    def _enter(
-        candidates: deque[tuple[int, int, int]], k: int, n: int, d: int,
-        oldest: int, largest: bool,
-    ) -> None:
-        # drop every candidate the new sample outlasts and matches or beats
-        while candidates:
-            _, cn, cd = candidates[-1]
-            if (cn * d <= n * cd) if largest else (cn * d >= n * cd):
-                candidates.pop()
-            else:
-                break
-        candidates.append((k, n, d))
-        if candidates[0][0] < oldest:
-            candidates.popleft()
-
     def _update(self, k: int, n: int, d: int) -> None:
         """Enter sample ``k`` and record the newer half's spread."""
         oldest = k - self.span + 1
-        self._enter(self._largest, k, n, d, oldest, True)
-        self._enter(self._smallest, k, n, d, oldest, False)
-        _, a, b = self._largest[0]
-        _, c, e = self._smallest[0]
+        entry = (k, n, d)
+        # each deque drops every candidate the new sample outlasts and
+        # matches or beats, and its head once it leaves the newer half
+        largest = self._largest
+        while largest and largest[-1][1] * d <= n * largest[-1][2]:
+            largest.pop()
+        largest.append(entry)
+        if largest[0][0] < oldest:
+            largest.popleft()
+        smallest = self._smallest
+        while smallest and smallest[-1][1] * d >= n * smallest[-1][2]:
+            smallest.pop()
+        smallest.append(entry)
+        if smallest[0][0] < oldest:
+            smallest.popleft()
+        _, a, b = largest[0]
+        _, c, e = smallest[0]
         self._spreads.append((a * e - c * b, b * e))
 
     def _replay(self) -> None:
@@ -262,9 +276,10 @@ class _TieWindow:
             self._update(k, n, d)
         else:
             self._pending.append((n, d))
+            if self.count >= 2 * self.span:
+                self._replay()
         if self.count < 2 * self.span:
             return False
-        self._replay()
         num, den = self._spreads[-1]
         older_num, older_den = self._spreads[0]
         return num * older_den >= older_num * den
@@ -297,18 +312,26 @@ def _exact_estimate(
 def _check_successive(
     family: SequenceFamily, value: Fraction, opts: DriverOptions
 ) -> None:
-    """Cross-check: step-over-step ratio must sit near a + b * value."""
-    expected = family.shift.apply(value)
-    tol = Fraction(1, 10 ** max(0, opts.target_digits - 2))
+    """Cross-check: step-over-step ratio must sit near a + b * value.
+
+    With ``value = u/v`` and the ratio ``n/e`` (``v, e > 0``), a distance
+    above ``10^-t`` is the integer inequality
+    ``|n*v - e*(a*v + b*u)| * 10^t > e*v``.
+    """
+    shift = family.shift
+    t = max(0, opts.target_digits - 2)
+    u, v = value.numerator, value.denominator
+    expected = shift.a * v + shift.b * u
     for i in range(1, family.degree + 1):
         try:
             got = family.successive_ratio(i)
         except (ZeroDenominatorError, OutOfRangeError):
             continue
-        if abs(got - expected) > tol:
+        n, e = got.numerator, got.denominator
+        if abs(n * v - e * expected) * 10**t > e * v:
             raise EstimatorMismatchError(
                 f"step ratio {float(got):.6g} disagrees with shifted estimate "
-                f"{float(expected):.6g} beyond 1e-{opts.target_digits - 2}"
+                f"{float(shift.apply(value)):.6g} beyond 1e-{opts.target_digits - 2}"
             )
         return
 
@@ -342,7 +365,7 @@ def _iterate_family(
 
     With ``finish``, a slow run can end a third way, by handover.  Once the
     tie window is full and has not fired, every ``TIE_SPAN`` samples the
-    last sample and the window's two spreads go to ``finish``, unless the
+    last two samples and the window's two spreads go to ``finish``, unless the
     last two samples already agree to ``D - 4`` digits (such a run is about
     to settle), with the steps left.  The first estimate it returns ends the
     run with that estimate's status (the run on the square-free part may
@@ -357,16 +380,11 @@ def _iterate_family(
     steps = 0
     run_length = 0
     # rendering of ``last``, or None while it has not been needed
-    last_render: Optional[Decimal] = None
-    rejected_render: Optional[Decimal] = None
+    last_render: Optional[str] = None
+    rejected_render: Optional[str] = None
     tie = _TieWindow()
     last: Optional[Sample] = None
     prev: Optional[Sample] = None
-
-    def render(value: Fraction) -> Decimal:
-        # compared as numbers: an exact sample renders short ("3") and its
-        # neighbours long ("3.00000000000")
-        return Decimal(decimal_string(value, digits))
 
     while True:
         vec = family.current
@@ -376,7 +394,7 @@ def _iterate_family(
                 n, d = -n, -d
             prev, last = last, (n, d)
             value: Optional[Fraction] = None
-            rendering: Optional[Decimal] = None
+            rendering: Optional[str] = None
             admitted = prev is not None and _may_render_equal(prev, last, scale)
             if accept is not None:
                 accepted = accept(n, d) if admitted else None
@@ -392,15 +410,15 @@ def _iterate_family(
                     )
             elif admitted:
                 if last_render is None:
-                    last_render = render(Fraction(*prev))
-                value = family.cross_ratio(1)
-                rendering = render(value)
-                run_length = run_length + 1 if rendering == last_render else 1
+                    last_render = decimal_string(Fraction(*prev), digits)
+                value = Fraction(n, d)
+                rendering = decimal_string(value, digits)
+                run_length = run_length + 1 if _renders_equal(rendering, last_render) else 1
             else:
                 run_length = 1
             if accept is None and run_length >= RENDER_WINDOW:
                 # the run grew this step, so ``value`` was rendered above
-                if rendering != rejected_render:
+                if not _renders_equal(rendering, rejected_render):
                     if _residual_ok(p, value, digits):
                         _check_successive(family, value, opts)
                         return RootEstimate(
@@ -422,7 +440,7 @@ def _iterate_family(
                 # stalled-but-rejected constant would otherwise report
                 # perfect agreement
                 return RootEstimate(
-                    family.cross_ratio(1) if value is None else value,
+                    Fraction(n, d) if value is None else value,
                     0,
                     steps,
                     RootStatus.TIE_DETECTED,
@@ -436,7 +454,7 @@ def _iterate_family(
                 and tie.count % TIE_SPAN == 0
                 and not _may_render_equal(prev, last, near_scale)
             ):
-                finished = finish(last, *tie.spreads(), limit - steps)
+                finished = finish(prev, last, *tie.spreads(), limit - steps)
                 if finished is not None:
                     return RootEstimate(
                         finished.value,
@@ -789,7 +807,10 @@ def _finisher(
     repeated converges like ``1/k``, so no bracket below would hold its
     root.  The run is handed to ``_single_root(q, shift)`` instead, with
     the steps left.  ``q`` has the same distinct roots, each simple, so the
-    same root dominates, or the same tie shows.
+    same root dominates, or the same tie shows.  A restart that runs out of
+    steps reports whichever of its last sample and the handed-over one has
+    the smaller exact ``|q(x)|`` (to first order the one nearer the root):
+    with few steps left its first samples are worse than the run's own.
 
     Otherwise the bracket is centred on the last sample ``c = n/d``.  With
     ``s`` the newer spread and ``theta = s / s_old`` the window's
@@ -803,14 +824,31 @@ def _finisher(
     q: Optional[MonicIntPolynomial] = None
 
     def finish(
-        sample: Sample, newer: Spread, older: Spread, left: int
+        prev: Sample, sample: Sample, newer: Spread, older: Spread, left: int
     ) -> Optional[RootEstimate]:
         nonlocal q
         if q is None:
             q = _square_free(p)
-        if q.degree < p.degree:
-            return _single_root(q, shift, opts, left)
         n, d = sample
+        if q.degree < p.degree:
+            est = _single_root(q, shift, opts, left)
+            if est.status is not RootStatus.MAX_ITERS_EXCEEDED:
+                return est
+            # |q(n/d)| < |q(u/v)|, multiplied out by d^m * v^m
+            u, v = est.value.numerator, est.value.denominator
+            m = q.degree
+            if abs(eval_homogeneous(q, n, d)) * v**m >= abs(eval_homogeneous(q, u, v)) * d**m:
+                return est
+            value = Fraction(n, d)
+            return RootEstimate(
+                value,
+                agreement_digits(value, Fraction(*prev)),
+                est.iterations,
+                est.status,
+                est.shift_used,
+                est.estimator,
+                est.peak_bits,
+            )
         a, b = newer
         c, e = older
         if a == 0:

@@ -15,17 +15,22 @@ from fractions import Fraction
 EXACT_AGREEMENT = 999
 
 
+#: One rounding context per digit count, made on first use.
+_CONTEXTS: dict[int, Context] = {}
+
+
 def decimal_string(value: Fraction | int, digits: int) -> str:
     """``value`` rounded to ``digits`` significant digits, round-half-even.
 
     Exact short expansions stay short ("-2.5" not "-2.5000"); inexact ones
     keep trailing zeros produced by rounding ("0.41420" at 5 digits).
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    f = Fraction(value)
-    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
-    return str(ctx.divide(Decimal(f.numerator), Decimal(f.denominator)))
+    ctx = _CONTEXTS.get(digits)
+    if ctx is None:
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        ctx = _CONTEXTS[digits] = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    return str(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def ratio_string(numerator: int, denominator: int, digits: int) -> str:

@@ -74,6 +74,8 @@ class SequenceFamily:
         self.shift = shift
         self.matrix = iteration_matrix(poly, shift)
         self._m = m
+        # under (0, 1) a step copies all components but the first
+        self._copies = shift.a == 0 and shift.b == 1
         self._window: list[IntVector] = []
         self._history: Optional[list[IntVector]] = [] if keep_history else None
         self.peak_bits = 0
@@ -99,9 +101,8 @@ class SequenceFamily:
         return tuple(self._window)
 
     def _store(self, vec: IntVector) -> None:
+        """Keep one of the ``m`` start vectors, all its components counted."""
         self._window.append(vec)
-        if len(self._window) > self._m:
-            del self._window[0]
         if self._history is not None:
             self._history.append(vec)
         bits = max(map(int.bit_length, vec))
@@ -124,9 +125,21 @@ class SequenceFamily:
     # -- advancing --------------------------------------------------------
 
     def step(self) -> None:
-        """Advance by one index: the new vector is ``M v`` for the current ``v``."""
+        """Advance by one index: the new vector is ``M v`` for the current ``v``.
+
+        Under the identity shift the components after the first were stored,
+        and counted in ``peak_bits``, one step earlier.
+        """
         self.j += 1
-        self._store(mat_vec(self.matrix, self._window[-1]))
+        window = self._window
+        vec = mat_vec(self.matrix, window[-1])
+        window.append(vec)
+        del window[0]
+        if self._history is not None:
+            self._history.append(vec)
+        bits = vec[0].bit_length() if self._copies else max(map(int.bit_length, vec))
+        if bits > self.peak_bits:
+            self.peak_bits = bits
 
     def run_to(self, j: int) -> None:
         """Step until the current index reaches ``j``."""

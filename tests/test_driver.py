@@ -36,6 +36,7 @@ from seqroots.driver import (
     _square_free,
     _TieWindow,
 )
+from seqroots.errors import EstimatorMismatchError, OutOfRangeError, ZeroDenominatorError
 from seqroots.poly import eval_rational
 from seqroots.render import EXACT_AGREEMENT, decimal_string
 from seqroots.sequences import SequenceFamily
@@ -483,6 +484,144 @@ class TestTieWindow:
         assert got == [False] * (2 * TIE_SPAN - 1) + [True]
 
 
+def _residual_ok_fraction(p, r, target_digits):
+    """``_residual_ok`` as it was, in ``Fraction`` arithmetic: the reference
+    for its integer inequality."""
+    half = max(1, target_digits // 2)
+    res = abs(eval_rational(p, r))
+    scale = max(Fraction(1), abs(r)) ** p.degree
+    return res * 10**half < scale
+
+
+def _check_successive_fraction(family, value, opts):
+    """``_check_successive`` as it was, in ``Fraction`` arithmetic."""
+    expected = family.shift.apply(value)
+    tol = Fraction(1, 10 ** max(0, opts.target_digits - 2))
+    for i in range(1, family.degree + 1):
+        try:
+            got = family.successive_ratio(i)
+        except (ZeroDenominatorError, OutOfRangeError):
+            continue
+        if abs(got - expected) > tol:
+            raise EstimatorMismatchError("reference")
+        return
+
+
+def _raises_mismatch(check, *args):
+    try:
+        check(*args)
+    except EstimatorMismatchError:
+        return True
+    return False
+
+
+class TestIntegerAcceptanceChecks:
+    """The residual and successive checks decide as their ``Fraction`` forms."""
+
+    coeffs = st.lists(st.integers(-30, 30), min_size=1, max_size=5)
+    rationals = st.fractions(max_denominator=10**12).filter(lambda r: abs(r) < 10**9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tail=coeffs, r=rationals, digits=st.integers(1, 40))
+    def test_residual_matches_fraction_reference(self, tail, r, digits):
+        p = make_polynomial([1, *tail])
+        assert driver._residual_ok(p, r, digits) == _residual_ok_fraction(p, r, digits)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.builds(lambda s, w, e: s * w * 10**e, st.sampled_from([1, -1]),
+                    st.integers(1, 9), st.integers(1, 3)),
+        g=st.lists(st.integers(-20, 20), min_size=0, max_size=3),
+        data=st.data(),
+    )
+    def test_residual_at_the_equality_edge(self, k, g, data):
+        # p = (x - k) * g(x) + R with |R| at, just below or just above the
+        # bound |k|^m / 10^half, so |p(k)| * 10^half meets |k|^m exactly
+        m = len(g) + 1
+        half = data.draw(st.integers(1, m * (len(str(abs(k))) - 1)))
+        digits = data.draw(st.sampled_from([2 * half, 2 * half + 1]))
+        bound = abs(k) ** m // 10**half
+        R = data.draw(st.sampled_from([1, -1])) * (bound + data.draw(st.sampled_from([-1, 0, 1])))
+        desc = [1, *g, 0]
+        for i in range(m, 0, -1):
+            desc[i] -= k * desc[i - 1]
+        desc[-1] += R
+        p = make_polynomial(desc)
+        assert p.degree == m and eval_rational(p, k) == R
+        r = Fraction(k)
+        assert driver._residual_ok(p, r, digits) == _residual_ok_fraction(p, r, digits)
+        assert driver._residual_ok(p, r, digits) == (abs(R) < bound)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        tail=st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        shift=st.tuples(st.integers(-5, 5), st.integers(-3, 3).filter(bool)),
+        steps=st.integers(0, 30),
+        digits=st.integers(1, 30),
+        offset=st.one_of(
+            st.sampled_from([-1, 1]),
+            st.fractions(min_value=-2, max_value=2),
+            st.builds(lambda s, e: s * (1 + Fraction(1, 10**e)),
+                      st.sampled_from([-1, 1]), st.integers(3, 40)),
+        ),
+    )
+    def test_successive_matches_fraction_reference(self, tail, shift, steps, digits, offset):
+        # the value is placed ``offset`` tolerances from the step ratio's
+        # preimage: +-1 lands exactly on the edge |got - expected| = tol
+        s = AffineShift(*shift)
+        family = SequenceFamily(make_polynomial([1, *tail]), shift=s)
+        family.run_to(family.j + steps)
+        opts = DriverOptions(target_digits=digits)
+        tol = Fraction(1, 10 ** max(0, digits - 2))
+        got = None
+        for i in range(1, family.degree + 1):
+            try:
+                got = family.successive_ratio(i)
+                break
+            except (ZeroDenominatorError, OutOfRangeError):
+                continue
+        value = Fraction(0) if got is None else (got + offset * tol - s.a) / s.b
+        assert _raises_mismatch(driver._check_successive, family, value, opts) == (
+            _raises_mismatch(_check_successive_fraction, family, value, opts)
+        )
+
+    def test_successive_decides_both_ways_at_the_edge(self):
+        family = SequenceFamily(QUADRATIC, shift=AffineShift(2, 1))
+        family.run_to(12)
+        got = family.successive_ratio(1)
+        opts = DriverOptions(target_digits=12)
+        tol = Fraction(1, 10**10)
+        on_edge = got + tol - 2
+        driver._check_successive(family, on_edge, opts)
+        with pytest.raises(EstimatorMismatchError):
+            driver._check_successive(family, on_edge + Fraction(1, 10**30), opts)
+
+
+class TestRenderingComparison:
+    """Renderings compare as strings first and as numbers only if they differ."""
+
+    @pytest.mark.parametrize(
+        "x, y, equal",
+        [
+            ("3", "3.00000000000", True),
+            ("2.5", "2.50000000000", True),
+            ("3.00000000000", "3", True),
+            ("3", "3.00000000001", False),
+            ("2.5", "2.49999999999", False),
+            ("1.41421356237", "1.41421356237", True),
+            ("1.41421356237", None, False),
+        ],
+    )
+    def test_equal_numbers_written_differently(self, x, y, equal):
+        assert driver._renders_equal(x, y) is equal
+
+    def test_an_exact_sample_renders_short_and_its_neighbour_long(self):
+        short = decimal_string(Fraction(5, 2), 12)
+        long = decimal_string(Fraction(5 * 10**13 + 1, 2 * 10**13), 12)
+        assert (short, long) == ("2.5", "2.50000000000")
+        assert driver._renders_equal(short, long)
+
+
 class TestRenderPrefilter:
     """A pair the prefilter rejects never renders equal."""
 
@@ -765,6 +904,37 @@ class TestRepeatedDominantRoot:
             make_polynomial([1, -8, 21, -18]), DriverOptions(max_iters=max_iters)
         )
         assert (est.status, est.iterations) == (RootStatus.MAX_ITERS_EXCEEDED, max_iters)
+
+    @pytest.mark.parametrize(
+        "max_iters, rendered, handed_over",
+        [
+            (39, "3.0769231", True),
+            (40, "3.0769231", True),
+            (41, "3.0769231", True),
+            (45, "3.0621661", False),
+            (60, "3.0001337", False),
+        ],
+    )
+    def test_budget_end_reports_the_sample_nearer_the_root(
+        self, max_iters, rendered, handed_over
+    ):
+        # (x-3)^2 (x-2) hands over its 40th sample (family step 41).  With few
+        # steps left the restart's own last sample is worse (5.0, 3.8 and
+        # 3.42 at 39, 40 and 41), so the smaller exact |q(x)| picks the
+        # handed-over one; from 45 on the restart's is nearer 3.
+        p = make_polynomial([1, -8, 21, -18])
+        est = dominant_root(p, DriverOptions(max_iters=max_iters))
+        assert (est.status, est.iterations) == (RootStatus.MAX_ITERS_EXCEEDED, max_iters)
+        assert est.decimal(8) == rendered
+        family = SequenceFamily(p)
+        family.run_to(41)
+        assert (est.value == family.cross_ratio(1)) is handed_over
+        q = _square_free(p)
+        other = driver._single_root(q, IDENTITY_SHIFT, DriverOptions(), max_iters - 39).value
+        if handed_over:
+            assert abs(eval_rational(q, est.value)) < abs(eval_rational(q, other))
+        else:
+            assert est.value == other
 
     @pytest.mark.parametrize("coeffs", [[1, 0, 0, -2], [1, -5, 3, 9], [1, -6, 12, -8]])
     def test_square_free_part(self, coeffs):

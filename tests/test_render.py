@@ -1,5 +1,6 @@
 """Decimal rendering of exact rationals and digit-agreement measurement."""
 
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,27 @@ class TestDecimalString:
         text = decimal_string(big, 12)
         assert text.startswith("3.33333333333")
         assert "E+399" in text
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_nonpositive_digits_every_time(self, bad):
+        # no context is kept for a digit count that was refused
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                decimal_string(Fraction(1, 3), bad)
+
+    def test_interleaved_digit_counts_match_a_fresh_context(self):
+        # one kept context per digit count: 5, 7, 5 gives what a fresh
+        # context per call gives, and 5 digits do not leak into 7
+        values = [Fraction(169, -70), Fraction(536171481, 425559582), Fraction(5, 2), 7]
+        for digits in (5, 7, 5, 12, 7, 5):
+            ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+            for v in values:
+                f = Fraction(v)
+                fresh = str(ctx.divide(Decimal(f.numerator), Decimal(f.denominator)))
+                assert decimal_string(v, digits) == fresh
+        assert [decimal_string(Fraction(1, 3), d) for d in (5, 7, 5)] == [
+            "0.33333", "0.3333333", "0.33333",
+        ]
 
 
 class TestRatioString:
