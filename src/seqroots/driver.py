@@ -6,27 +6,29 @@ consecutive samples renders to the same decimal value at the target
 precision AND the candidate passes an exact relative-residual test against
 the polynomial it claims to solve; enumeration renders nothing, checks no
 residual and accepts on its certificate alone (below).  Equal-modulus
-dominant roots never settle; a non-contracting oscillation amplitude over
-a sliding sample window reports them as a tie instead of burning the
-whole iteration budget.
+dominant roots never settle, so a run checks for a tie at one checkpoint
+every ``TIE_SPAN`` samples: from its fortieth sample on, a block of
+``TIE_SPAN`` samples whose spread (largest minus smallest) is no smaller
+than the previous block's reports a tie instead of burning the whole
+iteration budget.
 
 Until then a run converges linearly: it earns ``log10(gap)`` digits a
 step, so a poor gap between the largest and the next image modulus makes
-it long.  Such a run is handed over.  From its fortieth sample on, every
-``TIE_SPAN`` samples the tie window's two spreads give Aitken's (1926)
-estimate of the distance still to go.  A bracket reaching twice that to
-either side of the last sample that holds exactly one root of the
-square-free part is finished by the same extraction enumeration uses
-(below), which runs the recurrence afresh on the reversed polynomial
-recentred near the convergent.  That is the integer analogue of
-shift-and-invert iteration: it converges super-linearly, and its value is
-certified.  Runs that settle or tie before a handover are unchanged.  A
-repeated dominant root converges like ``1/k``, so no bracket holds it: a
+it long.  Such a run is handed over.  At each checkpoint that did not tie,
+the two blocks' spreads give Aitken's (1926) estimate of the distance
+still to go.  A bracket reaching twice that to either side of the last
+sample that holds exactly one root of the square-free part is finished
+by the same extraction enumeration uses (below), which runs the
+recurrence afresh on the reversed polynomial recentred near the
+convergent.  That is the integer analogue of shift-and-invert iteration:
+it converges super-linearly, and its value is certified.  A repeated
+dominant root converges like ``1/k``, so no bracket holds it: a
 polynomial with a repeated root instead starts over on its square-free
 part at the first handover point, under the same shift, and a tie found
 there ends the run as a tie.  If the second run's steps run out, it
 reports whichever of its last sample and the handed-over one has the
-smaller exact ``|q(x)|`` on the square-free part ``q``.
+smaller exact ``|q(x)|`` on the square-free part ``q``.  A run that ends
+at its budget, like a tie, reports 0 certified digits.
 
 ``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``:
 the family of ``p`` under the shift (the identity for ``dominant_root``),
@@ -39,21 +41,19 @@ enumeration, is reported one way: converged, estimator ``exact``.
 
 The loop around the recurrence stays in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
-compare by cross-multiplying.  The tie test keeps monotone deques of the
-largest and smallest of the newer half of its window; the older half is
-the newer half of ``TIE_SPAN`` steps before, so a step costs amortised
-O(1) comparisons and the two spreads compare in one inequality.  No tie
-can show before the window is full, so its first ``2 * TIE_SPAN`` samples
-are only buffered and then replayed into the deques at once: an extraction
-run, which usually ends within a few steps, never updates a deque.
-Samples are rendered only when two consecutive ones can render equal:
-renderings that coincide at D significant digits satisfy
+compare by cross-multiplying.  Between checkpoints the tie test only
+collects samples; it finds each block's largest and smallest once, in
+``2 * TIE_SPAN`` comparisons at the first checkpoint after it ends, and
+the two spreads compare in one inequality.  An extraction run, which
+usually ends within a few steps, compares nothing.  Samples are rendered
+only when two consecutive ones can render equal: renderings that
+coincide at D significant digits satisfy
 ``|x - y| * 10^(D-1) <= 2 * max(|x|, |y|)``, and a pair that fails this
-integer test resets the run without a ``Fraction`` or a ``Decimal``.
-Renderings compare as strings, and as ``Decimal`` only when the strings
-differ ("3" and "3.00000000000" name one number).  The residual test and
-the step-over-step cross-check that accept a settled value are each one
-integer inequality, cross-multiplied from their ``Fraction`` forms.
+integer test resets the run without a ``Fraction`` or a ``Decimal``.  Renderings compare as strings,
+and as ``Decimal`` only when the strings differ ("3" and "3.00000000000"
+name one number).  The residual test and the step-over-step cross-check
+that accept a settled value are each one integer inequality,
+cross-multiplied from their ``Fraction`` forms.
 
 Enumeration of all real roots isolates, then extracts, then certifies.
 The square-free part of the polynomial is split into disjoint intervals
@@ -74,8 +74,7 @@ only for a value that is returned.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -94,7 +93,7 @@ from .poly import (
     reversed_monic,
     shift_scale,
 )
-from .render import EXACT_AGREEMENT, agreement_digits, decimal_string
+from .render import EXACT_AGREEMENT, decimal_string
 from .sequences import SequenceFamily
 
 ESTIMATOR_CROSS = "cross-ratio"
@@ -188,9 +187,9 @@ Acceptor = Callable[[int, int], Optional[tuple[Fraction, str]]]
 #: A spread ``num / den`` of ratio samples as ``(num, den)`` with ``den > 0``.
 Spread = tuple[int, int]
 
-#: Maps the last two samples, the tie window's newer and older spreads and
+#: Maps the last sample, the tie test's newer and older block spreads and
 #: the steps left to a finished estimate, or None to keep stepping.
-Finisher = Callable[[Sample, Sample, Spread, Spread, int], Optional[RootEstimate]]
+Finisher = Callable[[Sample, Spread, Spread, int], Optional[RootEstimate]]
 
 
 def _renders_equal(x: str, y: Optional[str]) -> bool:
@@ -212,82 +211,57 @@ def _may_render_equal(x: Sample, y: Sample, scale: int) -> bool:
     return abs(a - b) * scale <= 2 * max(abs(a), abs(b))
 
 
+def _spread(samples: list[Sample]) -> Spread:
+    """``max - min`` of ``samples`` by cross-multiplied comparisons.  Of
+    equal samples the newest bounds it: the handover's bracket grid depends
+    on the spread's integers, not only on its value."""
+    a, b = c, e = samples[0]
+    for x, y in samples:
+        if x * b >= a * y:
+            a, b = x, y
+        if x * e <= c * y:
+            c, e = x, y
+    return a * e - c * b, b * e
+
+
 class _TieWindow:
-    """Exact tie test over the last ``2 * span`` samples.
+    """Exact tie test on whole blocks of ``span`` samples.
 
-    ``push`` reports a tie once the window is full and the spread
-    ``max - min`` of the newer ``span`` samples is at least that of the
-    older ``span``.  The older half is the newer half of ``span`` pushes
-    ago, so one pair of deques suffices: candidates for the maximum and the
-    minimum of the newer half (indices ascending, values monotone), at an
-    amortised O(1) cross-multiplied comparisons a push, and the newer
-    half's spread after each of the last ``span + 1`` pushes.
-
-    No push can tie before the window is full, so until then samples are
-    only appended to a list.  The ``2 * span``-th push (or an earlier
-    ``spreads()``) replays them once through the deques, and later pushes
-    update them as they come: a run that ends sooner never touches a deque,
-    and ``push``, ``count`` and ``spreads()`` read as if every sample had
-    been entered on arrival.
+    A push reports a tie only at a checkpoint, when ``count`` is a multiple
+    of ``span`` and at least ``2 * span``: if the spread of the block that
+    ends there is at least that of the block before it.  Between
+    checkpoints a push only appends, so a run that ends before its
+    ``2 * span``-th sample compares nothing, and each block's spread is
+    taken once.
     """
 
     def __init__(self, span: int = TIE_SPAN) -> None:
         self.span = span
         self.count = 0
-        # samples not yet entered, or None once the deques are live
-        self._pending: Optional[list[Sample]] = []
-        self._largest: deque[tuple[int, int, int]] = deque()
-        self._smallest: deque[tuple[int, int, int]] = deque()
-        # (num, den) of each spread, den > 0
-        self._spreads: deque[Spread] = deque(maxlen=span + 1)
-
-    def _update(self, k: int, n: int, d: int) -> None:
-        """Enter sample ``k`` and record the newer half's spread."""
-        oldest = k - self.span + 1
-        entry = (k, n, d)
-        # each deque drops every candidate the new sample outlasts and
-        # matches or beats, and its head once it leaves the newer half
-        largest = self._largest
-        while largest and largest[-1][1] * d <= n * largest[-1][2]:
-            largest.pop()
-        largest.append(entry)
-        if largest[0][0] < oldest:
-            largest.popleft()
-        smallest = self._smallest
-        while smallest and smallest[-1][1] * d >= n * smallest[-1][2]:
-            smallest.pop()
-        smallest.append(entry)
-        if smallest[0][0] < oldest:
-            smallest.popleft()
-        _, a, b = largest[0]
-        _, c, e = smallest[0]
-        self._spreads.append((a * e - c * b, b * e))
-
-    def _replay(self) -> None:
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
-            for k, (n, d) in enumerate(pending):
-                self._update(k, n, d)
+        self._block: list[Sample] = []
+        # the last two blocks' spreads, once a checkpoint is reached
+        self._newer: Spread = (0, 1)
+        self._older: Spread = (0, 1)
 
     def push(self, n: int, d: int) -> bool:
-        k = self.count
+        block = self._block
+        block.append((n, d))
         self.count += 1
-        if self._pending is None:
-            self._update(k, n, d)
-        else:
-            self._pending.append((n, d))
-            if self.count >= 2 * self.span:
-                self._replay()
-        if self.count < 2 * self.span:
+        if self.count % self.span or self.count < 2 * self.span:
             return False
-        num, den = self._spreads[-1]
-        older_num, older_den = self._spreads[0]
+        if self.count == 2 * self.span:
+            self._newer = _spread(block[: self.span])
+            del block[: self.span]
+        self._older, self._newer = self._newer, _spread(block)
+        block.clear()
+        num, den = self._newer
+        older_num, older_den = self._older
         return num * older_den >= older_num * den
 
     def spreads(self) -> tuple[Spread, Spread]:
-        """The newer and the older half's spread, once the window is full."""
-        self._replay()
-        return self._spreads[-1], self._spreads[0]
+        """The spreads of the blocks that end at and before the last
+        checkpoint."""
+        return self._newer, self._older
 
 
 def _exact_estimate(
@@ -350,27 +324,29 @@ def _iterate_family(
 
     The cross ratios approach a root of ``p``; residuals are checked against
     it, and an accepted value is cross-checked by ``_check_successive``.
-    ``budget`` caps steps below ``opts.max_iters`` if given.
+    ``budget`` caps steps below ``opts.max_iters`` if given.  A run that
+    ends at its budget, like a tie, reports 0 digits: no digit of its last
+    sample is certified.
 
     A step reads its sample as an integer pair (a zero denominator skips
-    it) and feeds the exact ``_TieWindow``.  A run of equal renderings grows
-    only while ``_may_render_equal`` admits the last two samples; only then,
-    or once the run is long enough to settle, are they rendered, and only
-    a rendered, accepted or returned sample becomes a ``Fraction``.
+    it) and feeds the exact ``_TieWindow``, which decides at every
+    ``TIE_SPAN``-th sample from the fortieth on.  A run of equal renderings
+    grows only while ``_may_render_equal`` admits the last two samples; only
+    then, or once the run is long enough to settle, are they rendered, and
+    only a rendered, accepted or returned sample becomes a ``Fraction``.
 
     With ``accept``, that rule is replaced: each sample the prefilter admits
     goes to ``accept``, and the run converges on the first ``(value,
     estimator)`` it returns.  Nothing is rendered, ``p`` is not evaluated
     and ``RENDER_WINDOW`` does not apply.
 
-    With ``finish``, a slow run can end a third way, by handover.  Once the
-    tie window is full and has not fired, every ``TIE_SPAN`` samples the
-    last two samples and the window's two spreads go to ``finish``, unless the
-    last two samples already agree to ``D - 4`` digits (such a run is about
-    to settle), with the steps left.  The first estimate it returns ends the
-    run with that estimate's status (the run on the square-free part may
-    tie), its steps and peak bits added to the run's own.  A run that
-    settles or ties first is unchanged.
+    With ``finish``, a slow run can end a third way, by handover.  At each
+    tie checkpoint that did not tie, the last sample, the two blocks'
+    spreads and the steps left go to ``finish``, unless the last two samples
+    already agree to ``D - 4`` digits (such a run is about to settle).  The
+    first estimate it returns ends the run with that estimate's status (the
+    run on the square-free part may tie), its steps and peak bits added to
+    the run's own.
     """
     family = SequenceFamily(p, shift=shift)
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
@@ -454,7 +430,7 @@ def _iterate_family(
                 and tie.count % TIE_SPAN == 0
                 and not _may_render_equal(prev, last, near_scale)
             ):
-                finished = finish(prev, last, *tie.spreads(), limit - steps)
+                finished = finish(last, *tie.spreads(), limit - steps)
                 if finished is not None:
                     return RootEstimate(
                         finished.value,
@@ -466,10 +442,10 @@ def _iterate_family(
                         max(family.peak_bits, finished.peak_bits),
                     )
         if steps >= limit:
-            last_value = Fraction(0) if last is None else Fraction(*last)
+            # as in a tie, no digit of an unsettled sample is certified
             return RootEstimate(
-                last_value,
-                0 if prev is None else agreement_digits(last_value, Fraction(*prev)),
+                Fraction(0) if last is None else Fraction(*last),
+                0,
                 steps,
                 RootStatus.MAX_ITERS_EXCEEDED,
                 shift,
@@ -813,18 +789,18 @@ def _finisher(
     with few steps left its first samples are worse than the run's own.
 
     Otherwise the bracket is centred on the last sample ``c = n/d``.  With
-    ``s`` the newer spread and ``theta = s / s_old`` the window's
-    contraction, its half-width is ``2 * s * theta / (1 - theta)``: Aitken's
-    estimate of the distance still to go, doubled, in exact rationals.  It
-    is widened outward to integers over ``2^k`` and handed over only if it
-    is narrow (at most ``|c| / 100``) and ``q`` is nonzero at both ends with
-    exactly one root between them (Descartes, as in ``_isolate``).
-    Otherwise the run keeps stepping.
+    ``s`` the newer block's spread and ``theta = s / s_old`` the contraction
+    from the older block, its half-width is ``2 * s * theta / (1 - theta)``:
+    Aitken's estimate of the distance still to go, doubled, in exact
+    rationals.  It is widened outward to integers over ``2^k`` and handed
+    over only if it is narrow (at most ``|c| / 100``) and ``q`` is nonzero
+    at both ends with exactly one root between them (Descartes, as in
+    ``_isolate``).  Otherwise the run keeps stepping.
     """
     q: Optional[MonicIntPolynomial] = None
 
     def finish(
-        prev: Sample, sample: Sample, newer: Spread, older: Spread, left: int
+        sample: Sample, newer: Spread, older: Spread, left: int
     ) -> Optional[RootEstimate]:
         nonlocal q
         if q is None:
@@ -839,22 +815,13 @@ def _finisher(
             m = q.degree
             if abs(eval_homogeneous(q, n, d)) * v**m >= abs(eval_homogeneous(q, u, v)) * d**m:
                 return est
-            value = Fraction(n, d)
-            return RootEstimate(
-                value,
-                agreement_digits(value, Fraction(*prev)),
-                est.iterations,
-                est.status,
-                est.shift_used,
-                est.estimator,
-                est.peak_bits,
-            )
+            return replace(est, value=Fraction(n, d))
         a, b = newer
         c, e = older
         if a == 0:
-            # a constant newer half: no contraction to extrapolate
+            # a constant newer block: no contraction to extrapolate
             return None
-        # half-width num/den; den > 0, as the window did not tie (a/b < c/e)
+        # half-width num/den; den > 0, as the blocks did not tie (a/b < c/e)
         num, den = 2 * a * a * e, b * (b * c - a * e)
         if 100 * num * d > abs(n) * den:
             return None
