@@ -17,8 +17,10 @@ step, so a poor gap between the largest and the next image modulus makes
 it long.  Such a run is handed over.  At each checkpoint that did not tie,
 the two blocks' spreads give Aitken's (1926) estimate of the distance
 still to go.  A bracket reaching twice that to either side of the last
-sample that holds exactly one root of the square-free part is finished
-by the same extraction enumeration uses (below), which runs the
+sample, and no wider than the sample itself, is tried; if it holds no
+root of the square-free part it grows fourfold, at most three times.
+The first bracket that holds a root is finished, if it holds exactly
+one, by the same extraction enumeration uses (below), which runs the
 recurrence afresh on the reversed polynomial recentred near the
 convergent.  That is the integer analogue of shift-and-invert iteration:
 it converges super-linearly, and its value is certified.  A repeated
@@ -112,6 +114,9 @@ RENDER_WINDOW = 3
 #: about 0.56) stops early: bisecting the bracket further is cheaper.
 EXTRACT_STEPS_PER_DIGIT = 4
 BISECT_STEPS = 5
+
+#: A handover bracket that holds no root grows fourfold, at most this often.
+BRACKET_GROWTHS = 3
 
 
 class RootStatus(Enum):
@@ -340,19 +345,16 @@ def _iterate_family(
     estimator)`` it returns.  Nothing is rendered, ``p`` is not evaluated
     and ``RENDER_WINDOW`` does not apply.
 
-    With ``finish``, a slow run can end a third way, by handover.  At each
-    tie checkpoint that did not tie, the last sample, the two blocks'
-    spreads and the steps left go to ``finish``, unless the last two samples
-    already agree to ``D - 4`` digits (such a run is about to settle).  The
-    first estimate it returns ends the run with that estimate's status (the
-    run on the square-free part may tie), its steps and peak bits added to
-    the run's own.
+    With ``finish``, a run can end a third way, by handover.  At each tie
+    checkpoint that did not tie, the last sample, the two blocks' spreads
+    and the steps left go to ``finish``.  The first estimate it returns
+    ends the run with that estimate's status (the run on the square-free
+    part may tie), its steps and peak bits added to the run's own.
     """
     family = SequenceFamily(p, shift=shift)
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     digits = opts.target_digits
     scale = 10 ** (digits - 1)
-    near_scale = 10 ** max(0, digits - 5)
     steps = 0
     run_length = 0
     # rendering of ``last``, or None while it has not been needed
@@ -428,7 +430,6 @@ def _iterate_family(
                 finish is not None
                 and tie.count >= 2 * TIE_SPAN
                 and tie.count % TIE_SPAN == 0
-                and not _may_render_equal(prev, last, near_scale)
             ):
                 finished = finish(last, *tie.spreads(), limit - steps)
                 if finished is not None:
@@ -792,10 +793,16 @@ def _finisher(
     ``s`` the newer block's spread and ``theta = s / s_old`` the contraction
     from the older block, its half-width is ``2 * s * theta / (1 - theta)``:
     Aitken's estimate of the distance still to go, doubled, in exact
-    rationals.  It is widened outward to integers over ``2^k`` and handed
-    over only if it is narrow (at most ``|c| / 100``) and ``q`` is nonzero
-    at both ends with exactly one root between them (Descartes, as in
-    ``_isolate``).  Otherwise the run keeps stepping.
+    rationals.  It is tried only if that half-width is at most ``|c|``: the
+    samples of a run that a complex pair dominates wander, and without the
+    gate ``x^3+8x+1``, and ``x^3+x^2+8x-4`` under ``(-2, 2)``, hand over a
+    bracket that meets a real root and report it instead of a tie.  The
+    bracket is widened outward to integers over ``2^k``, and ``q`` must be
+    nonzero at both ends.  Aitken's estimate can fall short of the distance
+    to go, so a bracket that Descartes' rule (as in ``_isolate``) shows to
+    hold no root grows fourfold, at most ``BRACKET_GROWTHS`` times.  The
+    first bracket not shown empty is handed over if it holds exactly one
+    root.  Otherwise the run keeps stepping.
     """
     q: Optional[MonicIntPolynomial] = None
 
@@ -823,18 +830,23 @@ def _finisher(
             return None
         # half-width num/den; den > 0, as the blocks did not tie (a/b < c/e)
         num, den = 2 * a * a * e, b * (b * c - a * e)
-        if 100 * num * d > abs(n) * den:
+        if num * d > abs(n) * den:
             return None
-        k = max(0, den.bit_length() - num.bit_length() + 2)
         w = d * den
-        lo = ((n * den - num * d) << k) // w
-        hi = -((-(n * den + num * d) << k) // w)
-        s_lo = _sign(eval_homogeneous(q, lo, 1 << k))
-        if s_lo == 0 or eval_homogeneous(q, hi, 1 << k) == 0:
-            return None
-        if _roots_in_unit_interval(_on_unit_interval(q, lo, hi, k)) != 1:
-            return None
-        return _extract_bracket(q, lo, hi, k, s_lo, opts)
+        for _ in range(BRACKET_GROWTHS + 1):
+            k = max(0, den.bit_length() - num.bit_length() + 2)
+            lo = ((n * den - num * d) << k) // w
+            hi = -((-(n * den + num * d) << k) // w)
+            s_lo = _sign(eval_homogeneous(q, lo, 1 << k))
+            if s_lo == 0 or eval_homogeneous(q, hi, 1 << k) == 0:
+                return None
+            count = _roots_in_unit_interval(_on_unit_interval(q, lo, hi, k))
+            if count == 1:
+                return _extract_bracket(q, lo, hi, k, s_lo, opts)
+            if count:
+                return None
+            num *= 4
+        return None
 
     return finish
 

@@ -629,8 +629,8 @@ class TestRegressionPins:
     """Step counts and decisions that the integer inner loop must keep.
 
     Past 12 digits, and in the long runs below, a run is handed over to the
-    certified extraction at its 40th to 120th sample; the counts include the
-    extraction's steps.
+    certified extraction at its first checkpoint, the 40th sample; the
+    counts include the extraction's steps.
     """
 
     @pytest.mark.parametrize(
@@ -653,7 +653,7 @@ class TestRegressionPins:
         # contract, so the run is handed over and certified
         p = make_polynomial([1, -8, 4, -3, 8, 6])
         est = root_via_shift(p, AffineShift(-4, 1))
-        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 200)
+        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 100)
         assert est.decimal() == "-0.511774915115"
         root = Fraction("-0.5117749151150427776140")
         assert abs(est.value - root) <= abs(root) / 10**12
@@ -663,9 +663,12 @@ class TestRegressionPins:
         [
             # the root is -0.58826039542853...: the linear run used to settle
             # on -0.588260395423
-            ([1, -7, 6, 5, 0, -3, -2], (-3, 1), "-0.588260395429", 120, 468),
-            ([1, -2, -8, 1, 4, 9, 6], (-1, 1), "-2.04017544283", 140, 431),
-            ([1, -1, 1, -1, -2], None, "1.44685724791", 123, 192),
+            ([1, -7, 6, 5, 0, -3, -2], (-3, 1), "-0.588260395429", 40, 348),
+            ([1, -2, -8, 1, 4, 9, 6], (-1, 1), "-2.04017544283", 41, 223),
+            ([1, -1, 1, -1, -2], None, "1.44685724791", 45, 126),
+            # the root is -3.092384161748...: the linear run used to settle
+            # on -3.09238416176 after 75 steps
+            ([1, 4, 1, -3, 8], None, "-3.09238416175", 40, 327),
         ],
     )
     def test_long_runs_keep_steps_and_peak_bits(self, coeffs, shift, rendered, steps, bits):
@@ -673,6 +676,12 @@ class TestRegressionPins:
         est = root_via_shift(p, AffineShift(*shift)) if shift else dominant_root(p)
         assert est.status is RootStatus.CONVERGED
         assert (est.decimal(), est.iterations, est.peak_bits) == (rendered, steps, bits)
+
+    def test_fast_run_hands_over_at_its_first_checkpoint(self):
+        # images 1 + sqrt(2) and 1 - sqrt(2): each step earns 0.77 digits, and
+        # the linear run used to take 223 steps to settle at 170 digits
+        est = _run([1, 0, -2], (1, 1), 170)
+        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 45)
 
     def test_wide_bracket_degree_11_at_30_digits(self):
         # (x+19)(x+20)^2(x+10)^3 (x^5+32x^4-6x^3-23x^2-23x-39): a wide first
@@ -708,8 +717,9 @@ def _certified_by_signs(q, value: Fraction, digits: int) -> bool:
     return eval_rational(q, value - delta) * eval_rational(q, value + delta) < 0
 
 
-#: Runs that took 102 to 515 linear steps: long pins, the x^3 - 2 ladder, and slow
-#: dominant-corpus calls (``x^4-8x^3-6x^2+9x+6`` has the root -1).
+#: Runs that took 102 to 515 linear steps before the handover: long pins, the
+#: x^3 - 2 ladder, and slow dominant-corpus calls (``x^4-8x^3-6x^2+9x+6`` has
+#: the root -1), and one fast run, x^2 - 2 at 170 digits, that took 223.
 SLOW_RUNS = [
     ([1, -7, 6, 5, 0, -3, -2], (-3, 1), 12),
     ([1, -2, -8, 1, 4, 9, 6], (-1, 1), 12),
@@ -720,6 +730,7 @@ SLOW_RUNS = [
     ([1, -2, -4, -2, -5, -8, -9], (-2, 1), 12),
     ([1, -5, -4, 2, 1], (-3, 1), 12),
     ([1, -9, 4, -6, -1, 0, -8], (-5, 1), 12),
+    ([1, 0, -2], (1, 1), 170),
 ]
 
 
@@ -781,16 +792,18 @@ class TestHandover:
                 # and a residual, not on a certificate (ROADMAP item 1)
                 assert off <= abs(root) * mpmath.mpf(10) ** -6, (coeffs, shift)
 
-    @pytest.mark.parametrize(
-        "coeffs, shift, steps", [([1, 3, -1, -7, -8], None, 52), ([1, -4, -8], (-3, 1), 49)]
-    )
-    def test_run_agreeing_to_digits_minus_4_settles_unaided(self, coeffs, shift, steps):
-        # at the 40th sample the last two agree to 8 digits, so the run is
-        # left to settle; handed over there, it would end at 40 steps
+    @pytest.mark.parametrize("coeffs, shift", [([1, 3, -1, -7, -8], None), ([1, -4, -8], (-3, 1))])
+    def test_run_agreeing_to_digits_minus_4_is_handed_over(self, coeffs, shift):
+        # at the 40th sample (step 39) the last two agree to 8 digits; left
+        # to settle, the runs took 52 and 49 steps
         with handovers() as calls:
             est = _run(coeffs, shift)
-        assert not calls
-        assert (est.status, est.iterations) == (RootStatus.CONVERGED, steps)
+        assert len(calls) == 1
+        (q, lo, hi, k, s_lo, _), extracted = calls[0]
+        assert est.iterations - extracted.iterations == 39
+        assert (est.status, est.iterations, est.estimator) == (
+            RootStatus.CONVERGED, 40, "cross-ratio")
+        assert _certified(q, est.value.numerator, est.value.denominator, lo, hi, k, s_lo, 12)
 
     def test_extraction_runs_on_its_own_budget(self):
         # max_iters bounds the linear phase and, separately, the extraction
@@ -804,7 +817,15 @@ class TestHandover:
 
     @pytest.mark.parametrize(
         "coeffs, shift",
-        [([1, 0, -4], None), ([1, 0, 0, -2], None), ([1, 2, -1], (1, 1))],
+        [
+            ([1, 0, -4], None),
+            ([1, 0, 0, -2], None),
+            ([1, 2, -1], (1, 1)),
+            # a complex pair dominates: without the gate h <= |c| on the
+            # handover bracket, both return a wrong CONVERGED
+            ([1, 1, 8, -4], (-2, 2)),
+            ([1, 0, 8, 1], None),
+        ],
     )
     def test_ties_stay_ties(self, coeffs, shift):
         with handovers() as calls:
@@ -845,8 +866,12 @@ class TestRepeatedDominantRoot:
             ([1, -6, 12, -8], (1, 1), RootStatus.CONVERGED, 2, 0, 39),
             # (x-3)^2 (x+3): the square-free part x^2 - 9 ties
             ([1, -3, -9, 27], None, RootStatus.TIE_DETECTED, None, None, 117),
-            # (x-3)^2 (x-2): settles like (x-3)^2 (x+1), from a poorer gap
-            ([1, -8, 21, -18], None, RootStatus.CONVERGED, 3, Fraction(1, 10**11), 102),
+            # (x-3)^2 (x-2): the square-free part's run is handed over and
+            # meets 3 exactly
+            ([1, -8, 21, -18], None, RootStatus.CONVERGED, 3, 0, 78),
+            # x^2 (x-2): the double root 0 dominates under x - 3; the
+            # square-free part's samples tend to 0, and a grown bracket holds it
+            ([1, -2, 0, 0], (-3, 1), RootStatus.CONVERGED, 0, 0, 78),
         ],
     )
     def test_finishes_on_the_square_free_part(self, coeffs, shift, status, value, tol, steps):
@@ -857,13 +882,20 @@ class TestRepeatedDominantRoot:
         if value is not None:
             assert abs(est.value - value) <= value * tol
 
-    @pytest.mark.parametrize("max_iters", [40, 41, 45, 60, 80])
+    @pytest.mark.parametrize("max_iters", [40, 41, 45, 60, 77])
     def test_restart_spends_only_the_budget_left(self, max_iters):
         # (x-3)^2 (x-2) starts over at its 40th sample, on the steps left
         est = dominant_root(
             make_polynomial([1, -8, 21, -18]), DriverOptions(max_iters=max_iters)
         )
         assert (est.status, est.iterations) == (RootStatus.MAX_ITERS_EXCEEDED, max_iters)
+
+    @pytest.mark.parametrize("max_iters", [78, 80])
+    def test_restart_that_fits_its_budget_converges(self, max_iters):
+        est = dominant_root(
+            make_polynomial([1, -8, 21, -18]), DriverOptions(max_iters=max_iters)
+        )
+        assert (est.status, est.value, est.iterations) == (RootStatus.CONVERGED, 3, 78)
 
     @pytest.mark.parametrize(
         "max_iters, rendered, handed_over",
