@@ -21,7 +21,6 @@ from .errors import (
     DegreeTooSmallError,
     DimensionMismatchError,
     EmptyInputError,
-    EstimatorMismatchError,
     NotMonicError,
     NoZeroRootError,
     OutOfRangeError,
@@ -41,7 +40,6 @@ __all__ = [
     "DimensionMismatchError",
     "DriverOptions",
     "EmptyInputError",
-    "EstimatorMismatchError",
     "IDENTITY_SHIFT",
     "MonicIntPolynomial",
     "NotMonicError",

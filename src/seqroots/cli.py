@@ -7,7 +7,7 @@ travel as decimal strings in JSON because the terms outgrow fixed-width
 integers within a few dozen steps.
 
 Exit codes: 0 converged/ok, 2 tie detected, 3 iteration budget exhausted,
-5 estimator cross-check failed, 64 bad usage.
+64 bad usage.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .driver import (
     enumerate_real_roots,
     root_via_shift,
 )
-from .errors import EstimatorMismatchError, SeqrootsError
+from .errors import SeqrootsError
 from .poly import IDENTITY_SHIFT, AffineShift, MonicIntPolynomial, make_polynomial
 from .render import ratio_string
 from .sequences import SequenceFamily, default_seed
@@ -36,7 +36,6 @@ from .sequences import SequenceFamily, default_seed
 EXIT_OK = 0
 EXIT_TIE = 2
 EXIT_MAX_ITERS = 3
-EXIT_MISMATCH = 5
 EXIT_USAGE = 64
 
 _STATUS_EXIT = {
@@ -341,9 +340,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         doc, code = handlers[args.command](args)
-    except EstimatorMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except SeqrootsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

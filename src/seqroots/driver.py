@@ -1,11 +1,14 @@
 """Turn ratio sequences into root estimates.
 
 Convergence is decided on exact rational convergents.  In
-``dominant_root`` and ``root_via_shift`` a run stops when a window of
-consecutive samples renders to the same decimal value at the target
+``dominant_root`` and ``root_via_shift`` a run stops when the samples of a
+window of consecutive steps render to the same decimal value at the target
 precision AND the candidate passes an exact relative-residual test against
-the polynomial it claims to solve; enumeration renders nothing, checks no
-residual and accepts on its certificate alone (below).  Equal-modulus
+the polynomial it claims to solve and a cross-check against the
+step-over-step ratio.  A step with a zero denominator has no sample, so it
+breaks the window; a candidate that fails either test is rejected and the
+run goes on.  Enumeration renders nothing, checks no residual and accepts
+on its certificate alone (below).  Equal-modulus
 dominant roots never settle, so a run checks for a tie at one checkpoint
 every ``TIE_SPAN`` samples: from its fortieth sample on, a block of
 ``TIE_SPAN`` samples whose spread (largest minus smallest) is no smaller
@@ -51,11 +54,11 @@ usually ends within a few steps, compares nothing.  Samples are rendered
 only when two consecutive ones can render equal: renderings that
 coincide at D significant digits satisfy
 ``|x - y| * 10^(D-1) <= 2 * max(|x|, |y|)``, and a pair that fails this
-integer test resets the run without a ``Fraction`` or a ``Decimal``.  Renderings compare as strings,
-and as ``Decimal`` only when the strings differ ("3" and "3.00000000000"
-name one number).  The residual test and the step-over-step cross-check
-that accept a settled value are each one integer inequality,
-cross-multiplied from their ``Fraction`` forms.
+integer test resets the run without a ``Fraction`` or a ``Decimal``.
+Renderings compare as strings, and as ``Decimal`` only when the strings
+differ ("3" and "3.00000000000" name one number).  The residual test and
+the step-over-step cross-check that accept a settled value are each one
+integer inequality, cross-multiplied from their ``Fraction`` forms.
 
 Enumeration of all real roots isolates, then extracts, then certifies.
 The square-free part of the polynomial is split into disjoint intervals
@@ -83,7 +86,7 @@ from fractions import Fraction
 from operator import index as _as_int
 from typing import Callable, Optional
 
-from .errors import EstimatorMismatchError, OutOfRangeError, ZeroDenominatorError
+from .errors import OutOfRangeError, ZeroDenominatorError
 from .poly import (
     IDENTITY_SHIFT,
     AffineShift,
@@ -232,12 +235,12 @@ def _spread(samples: list[Sample]) -> Spread:
 class _TieWindow:
     """Exact tie test on whole blocks of ``span`` samples.
 
-    A push reports a tie only at a checkpoint, when ``count`` is a multiple
-    of ``span`` and at least ``2 * span``: if the spread of the block that
-    ends there is at least that of the block before it.  Between
-    checkpoints a push only appends, so a run that ends before its
-    ``2 * span``-th sample compares nothing, and each block's spread is
-    taken once.
+    A push decides only at a checkpoint, when ``count`` is a multiple of
+    ``span`` and at least ``2 * span``: True, a tie, if the spread of the
+    block that ends there is at least that of the block before it, and
+    False otherwise.  Between checkpoints a push only appends and returns
+    None, so a run that ends before its ``2 * span``-th sample compares
+    nothing, and each block's spread is taken once.
     """
 
     def __init__(self, span: int = TIE_SPAN) -> None:
@@ -248,12 +251,12 @@ class _TieWindow:
         self._newer: Spread = (0, 1)
         self._older: Spread = (0, 1)
 
-    def push(self, n: int, d: int) -> bool:
+    def push(self, n: int, d: int) -> Optional[bool]:
         block = self._block
         block.append((n, d))
         self.count += 1
         if self.count % self.span or self.count < 2 * self.span:
-            return False
+            return None
         if self.count == 2 * self.span:
             self._newer = _spread(block[: self.span])
             del block[: self.span]
@@ -288,17 +291,16 @@ def _exact_estimate(
     )
 
 
-def _check_successive(
-    family: SequenceFamily, value: Fraction, opts: DriverOptions
-) -> None:
-    """Cross-check: step-over-step ratio must sit near a + b * value.
+def _successive_ok(family: SequenceFamily, value: Fraction, target_digits: int) -> bool:
+    """Cross-check: the step-over-step ratio of the first component that has
+    one sits within ``10^-t`` of ``a + b * value``, ``t = target_digits - 2``
+    (at least 0).  With no such ratio there is nothing to contradict.
 
-    With ``value = u/v`` and the ratio ``n/e`` (``v, e > 0``), a distance
-    above ``10^-t`` is the integer inequality
-    ``|n*v - e*(a*v + b*u)| * 10^t > e*v``.
+    With ``value = u/v`` and the ratio ``n/e`` (``v, e > 0``) this is the
+    integer inequality ``|n*v - e*(a*v + b*u)| * 10^t <= e*v``.
     """
     shift = family.shift
-    t = max(0, opts.target_digits - 2)
+    t = max(0, target_digits - 2)
     u, v = value.numerator, value.denominator
     expected = shift.a * v + shift.b * u
     for i in range(1, family.degree + 1):
@@ -307,12 +309,8 @@ def _check_successive(
         except (ZeroDenominatorError, OutOfRangeError):
             continue
         n, e = got.numerator, got.denominator
-        if abs(n * v - e * expected) * 10**t > e * v:
-            raise EstimatorMismatchError(
-                f"step ratio {float(got):.6g} disagrees with shifted estimate "
-                f"{float(shift.apply(value)):.6g} beyond 1e-{opts.target_digits - 2}"
-            )
-        return
+        return abs(n * v - e * expected) * 10**t <= e * v
+    return True
 
 
 def _iterate_family(
@@ -327,18 +325,22 @@ def _iterate_family(
     """Drive the family of ``p`` under ``shift`` from the default seed until
     convergence, tie, or budget end.
 
-    The cross ratios approach a root of ``p``; residuals are checked against
-    it, and an accepted value is cross-checked by ``_check_successive``.
-    ``budget`` caps steps below ``opts.max_iters`` if given.  A run that
-    ends at its budget, like a tie, reports 0 digits: no digit of its last
-    sample is certified.
+    The cross ratios approach a root of ``p``.  A value whose rendering has
+    settled is accepted if its residual passes (``_residual_ok``) and the
+    step-over-step ratio agrees with it (``_successive_ok``).  A rendering
+    that fails either check is remembered and not checked again, and the
+    run goes on to its tie test.  ``budget`` caps steps below
+    ``opts.max_iters`` if given.  A run that ends at its budget, like a
+    tie, reports 0 digits: no digit of its last sample is certified.
 
-    A step reads its sample as an integer pair (a zero denominator skips
-    it) and feeds the exact ``_TieWindow``, which decides at every
-    ``TIE_SPAN``-th sample from the fortieth on.  A run of equal renderings
-    grows only while ``_may_render_equal`` admits the last two samples; only
-    then, or once the run is long enough to settle, are they rendered, and
-    only a rendered, accepted or returned sample becomes a ``Fraction``.
+    A step reads its sample as an integer pair and feeds the exact
+    ``_TieWindow``, which decides at every ``TIE_SPAN``-th sample from the
+    fortieth on.  A step with a zero denominator has no sample: it feeds
+    nothing, and the next sample starts a new run of equal renderings, so
+    such a run only ever holds samples of consecutive steps.  It grows only
+    while ``_may_render_equal`` admits the last two samples; only then, or
+    once the run is long enough to settle, are they rendered, and only a
+    rendered, accepted or returned sample becomes a ``Fraction``.
 
     With ``accept``, that rule is replaced: each sample the prefilter admits
     goes to ``accept``, and the run converges on the first ``(value,
@@ -357,20 +359,23 @@ def _iterate_family(
     scale = 10 ** (digits - 1)
     steps = 0
     run_length = 0
-    # rendering of ``last``, or None while it has not been needed
+    # rendering of ``prev``, or None while it has not been needed
     last_render: Optional[str] = None
     rejected_render: Optional[str] = None
     tie = _TieWindow()
+    # the last sample, and the previous step's (None if it had none)
     last: Optional[Sample] = None
     prev: Optional[Sample] = None
 
     while True:
         vec = family.current
         n, d = vec[0], vec[1]
-        if d:
+        if not d:
+            prev = None
+        else:
             if d < 0:
                 n, d = -n, -d
-            prev, last = last, (n, d)
+            last = (n, d)
             value: Optional[Fraction] = None
             rendering: Optional[str] = None
             admitted = prev is not None and _may_render_equal(prev, last, scale)
@@ -397,8 +402,7 @@ def _iterate_family(
             if accept is None and run_length >= RENDER_WINDOW:
                 # the run grew this step, so ``value`` was rendered above
                 if not _renders_equal(rendering, rejected_render):
-                    if _residual_ok(p, value, digits):
-                        _check_successive(family, value, opts)
+                    if _residual_ok(p, value, digits) and _successive_ok(family, value, digits):
                         return RootEstimate(
                             value,
                             digits,
@@ -408,12 +412,13 @@ def _iterate_family(
                             ESTIMATOR_CROSS,
                             family.peak_bits,
                         )
-                    # A settled rendering that is not a root: remember it so
-                    # the residual is not re-evaluated every step, and keep
-                    # going until the tie detector or the budget speaks.
+                    # A settled rendering that fails a check: remember it so
+                    # it is not re-checked every step, and keep going until
+                    # the tie detector or the budget speaks.
                     rejected_render = rendering
-            last_render = rendering
-            if tie.push(n, d):
+            prev, last_render = last, rendering
+            verdict = tie.push(n, d)
+            if verdict:
                 # no digit of the root is actually known in a tie: a
                 # stalled-but-rejected constant would otherwise report
                 # perfect agreement
@@ -426,11 +431,7 @@ def _iterate_family(
                     ESTIMATOR_CROSS,
                     family.peak_bits,
                 )
-            if (
-                finish is not None
-                and tie.count >= 2 * TIE_SPAN
-                and tie.count % TIE_SPAN == 0
-            ):
+            if verdict is not None and finish is not None:
                 finished = finish(last, *tie.spreads(), limit - steps)
                 if finished is not None:
                     return RootEstimate(
@@ -500,7 +501,8 @@ def root_via_shift(
     The family iterates ``a*I + b*C`` for the companion matrix ``C`` of
     ``p``, so cross ratios converge straight to the original root; the
     step-over-step ratio is an independent consistency check at acceptance
-    (it must approach ``a + b*value``).  Statuses are those of
+    (it must approach ``a + b*value``, or the value is rejected and the run
+    goes on).  Statuses are those of
     ``dominant_root``.  ``p = (x-r)^m`` with ``a + b*r = 0`` makes the
     shifted matrix nilpotent: its root ``-a/b`` is returned exactly, with
     0 iterations, as is the root of a degree-1 ``p``.
@@ -856,28 +858,24 @@ def enumerate_real_roots(
 ) -> list[RootEstimate]:
     """Every distinct real root of ``p``, ascending; may be empty.
 
-    Zero roots are deflated exactly first, and the rest is reduced to its
-    square-free part ``q``.  Descartes bisection isolates each real root of
-    ``q`` in its own interval (or meets it exactly at a split point), and
-    ``_extract_bracket`` finishes each interval with the ratio iteration.
-    A reported value is exact, or its root is certified by exact signs of
-    ``q`` to lie within ``|value| * 10^-target_digits`` of it.
+    ``p`` is reduced to its square-free part ``q`` first, where a zero root
+    is simple and is deflated exactly.  Descartes bisection isolates each
+    real root of ``q`` in its own interval (or meets it exactly at a split
+    point), and ``_extract_bracket`` finishes each interval with the ratio
+    iteration.  A reported value is exact, or its root is certified by
+    exact signs of ``q`` to lie within ``|value| * 10^-target_digits`` of it.
     """
     estimates: list[RootEstimate] = []
-    q: Optional[MonicIntPolynomial] = p
-    while q is not None and q.constant_term == 0:
-        q = None if q.degree == 1 else deflate_zero_root(q)
-    if q is not p:
+    q = _square_free(p)
+    if q.degree > 1 and q.constant_term == 0:
         estimates.append(_exact_estimate(Fraction(0), IDENTITY_SHIFT, opts))
-    if q is not None:
-        q = _square_free(q)
-        if q.degree == 1:
-            estimates.append(_exact_estimate(Fraction(-q.coeffs[0]), IDENTITY_SHIFT, opts))
-        else:
-            exact, intervals = _isolate(q)
-            estimates.extend(_exact_estimate(x, IDENTITY_SHIFT, opts) for x in exact)
-            estimates.extend(
-                _extract_bracket(q, lo, hi, k, s_lo, opts)
-                for lo, hi, k, s_lo in intervals
-            )
+        q = deflate_zero_root(q)
+    if q.degree == 1:
+        estimates.append(_exact_estimate(Fraction(-q.coeffs[0]), IDENTITY_SHIFT, opts))
+    else:
+        exact, intervals = _isolate(q)
+        estimates.extend(_exact_estimate(x, IDENTITY_SHIFT, opts) for x in exact)
+        estimates.extend(
+            _extract_bracket(q, lo, hi, k, s_lo, opts) for lo, hi, k, s_lo in intervals
+        )
     return sorted(estimates, key=lambda e: e.value)

@@ -37,9 +37,5 @@ class ZeroDenominatorError(SeqrootsError, ZeroDivisionError):
     """A ratio was requested whose denominator term is 0."""
 
 
-class EstimatorMismatchError(SeqrootsError, RuntimeError):
-    """Cross-component and successive ratio estimates disagree at convergence."""
-
-
 class OracleUnavailableError(SeqrootsError, ImportError):
     """The floating-point reference was called without numpy installed."""
