@@ -1,7 +1,8 @@
 """Golden records: every ``RootEstimate`` field over the test corpus.
 
-``dominant_root`` runs on the 100-entry corpus and ``enumerate_real_roots``
-on its all-real sub-corpus, each at 12 and 30 digits.  The records are
+``dominant_root`` runs on the 100-entry corpus, ``root_via_shift`` on it
+under each of ``SHIFTS``, and ``enumerate_real_roots`` on its all-real
+sub-corpus, each at 12 and 30 digits.  The records are
 stored one call a line in ``tests/data/``, so a change that moves a result
 shows in the diff of the line that names its call.  A change meant to
 move results rewrites them with::
@@ -17,12 +18,23 @@ from pathlib import Path
 
 import pytest
 
-from seqroots import DriverOptions, RootEstimate, dominant_root, enumerate_real_roots
+from seqroots import (
+    AffineShift,
+    DriverOptions,
+    RootEstimate,
+    dominant_root,
+    enumerate_real_roots,
+    root_via_shift,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 DIGITS = (12, 30)
+#: Shifts that make a smaller root dominate: most of these runs are slow
+#: enough to be handed over to the extraction.
+SHIFTS = ((-2, 1), (-4, 1))
 ENTRIES = {
     "dominant_root": (dominant_root, "corpus"),
+    "root_via_shift": (root_via_shift, "corpus"),
     "enumerate_real_roots": (enumerate_real_roots, "simple_real_corpus"),
 }
 
@@ -42,16 +54,20 @@ def record(est: RootEstimate) -> dict:
 def records(entry: str, polys: list) -> list[dict]:
     """One line per call: the call first, then what it returned."""
     fn = ENTRIES[entry][0]
+    shifts = SHIFTS if entry == "root_via_shift" else (None,)
     out = []
     for digits in DIGITS:
         opts = DriverOptions(target_digits=digits)
-        for poly in polys:
-            result = fn(poly, opts)
-            estimates = result if isinstance(result, list) else [result]
-            out.append({
-                "call": f"{entry}({poly}, digits={digits})",
-                "estimates": [record(e) for e in estimates],
-            })
+        for shift in shifts:
+            for poly in polys:
+                if shift is None:
+                    result = fn(poly, opts)
+                    call = f"{entry}({poly}, digits={digits})"
+                else:
+                    result = fn(poly, AffineShift(*shift), opts)
+                    call = f"{entry}({poly}, shift={shift}, digits={digits})"
+                estimates = result if isinstance(result, list) else [result]
+                out.append({"call": call, "estimates": [record(e) for e in estimates]})
     return out
 
 
@@ -80,13 +96,13 @@ def write() -> None:
 
     corpus = build_corpus()
     polys = {
-        "dominant_root": [e.poly for e in corpus],
-        "enumerate_real_roots": [e.poly for e in corpus if e.all_real_separated],
+        "corpus": [e.poly for e in corpus],
+        "simple_real_corpus": [e.poly for e in corpus if e.all_real_separated],
     }
     DATA.mkdir(exist_ok=True)
     for entry in ENTRIES:
         with path(entry).open("w") as fh:
-            for line in records(entry, polys[entry]):
+            for line in records(entry, polys[ENTRIES[entry][1]]):
                 fh.write(json.dumps(line) + "\n")
 
 
