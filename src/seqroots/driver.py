@@ -20,13 +20,14 @@ step, so a poor gap between the largest and the next image modulus makes
 it long.  Such a run is handed over.  At each checkpoint that did not tie,
 the two blocks' spreads give Aitken's (1926) estimate of the distance
 still to go.  A bracket reaching twice that to either side of the last
-sample, and no wider than the sample itself, is tried; if it holds no
-root of the square-free part it grows fourfold, at most three times.
-The first bracket that holds a root is finished, if it holds exactly
-one, by the same extraction enumeration uses (below), which runs the
-recurrence afresh on the reversed polynomial recentred near the
-convergent.  That is the integer analogue of shift-and-invert iteration:
-it converges super-linearly, and its value is certified.  A repeated
+sample, and no wider than the sample itself, is tried.  While the
+square-free part has the same sign at both its ends, the bracket grows
+fourfold, at most three times.  The first bracket whose ends differ in
+sign is finished, if Descartes' rule counts exactly one root in it, by
+the same extraction enumeration uses (below), which runs the recurrence
+afresh on the reversed polynomial recentred near the convergent.  That
+is the integer analogue of shift-and-invert iteration: it converges
+super-linearly, and its value is certified.  A repeated
 dominant root converges like ``1/k``, so no bracket holds it: a
 polynomial with a repeated root instead starts over on its square-free
 part at the first handover point, under the same shift, and a tie found
@@ -47,7 +48,8 @@ enumeration, is reported one way: converged, estimator ``exact``.
 The loop around the recurrence stays in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
 compare by cross-multiplying.  Between checkpoints the tie test only
-collects samples; it finds each block's largest and smallest once, in
+collects samples, each appended to its block; it finds each block's
+largest and smallest once, in
 ``2 * TIE_SPAN`` comparisons at the first checkpoint after it ends, and
 the two spreads compare in one inequality.  An extraction run, which
 usually ends within a few steps, compares nothing.  Samples are rendered
@@ -55,15 +57,19 @@ only when two consecutive ones can render equal: renderings that
 coincide at D significant digits satisfy
 ``|x - y| * 10^(D-1) <= 2 * max(|x|, |y|)``, and a pair that fails this
 integer test resets the run without a ``Fraction`` or a ``Decimal``.
+An admitted sample renders from its integer pair, and a ``Fraction`` is
+built only for a value that is checked, returned or reported as a tie.
 Renderings compare as strings, and as ``Decimal`` only when the strings
 differ ("3" and "3.00000000000" name one number).  The residual test and
 the step-over-step cross-check that accept a settled value are each one
 integer inequality, cross-multiplied from their ``Fraction`` forms.
 
 Enumeration of all real roots isolates, then extracts, then certifies.
-The square-free part of the polynomial is split into disjoint intervals
-that each hold one root, by Descartes' rule of signs with exact integer
-Taylor shifts and halvings (Collins & Akritas; Rouillier & Zimmermann).
+The square-free part of the polynomial (the polynomial itself when a
+gcd modulo a small prime shows it square-free) is split into disjoint
+intervals that each hold one root, by Descartes' rule of signs with
+exact integer Taylor shifts and halvings (Collins & Akritas; Rouillier &
+Zimmermann).
 Interior real roots can never dominate under a real affine shift (the
 largest shifted modulus is always attained on the convex hull of the root
 set), so each interval is finished through an auxiliary polynomial:
@@ -71,9 +77,12 @@ recentering at the interval midpoint and reversing coefficients maps the
 nearest root to the dominant one, where the same ratio iteration applies.
 Each sample the render prefilter admits is mapped back exactly and kept
 once exact signs of the polynomial place the root within the target
-precision of it.  Brackets are integers over a power of two and every sign
-test is the sign of the integer ``v^m q(u/v)``, so a ``Fraction`` is built
-only for a value that is returned.
+precision of it.  Those signs are taken first at short dyadic points just
+inside the certificate's ends, whose length depends on the target
+precision and not on the sample's, and at an exact end only when the
+short sign leaves its side open.  Brackets are integers over a power of
+two and every sign test is the sign of the integer ``v^m q(u/v)``, so a
+``Fraction`` is built only for a value that is returned.
 """
 
 from __future__ import annotations
@@ -118,8 +127,14 @@ RENDER_WINDOW = 3
 EXTRACT_STEPS_PER_DIGIT = 4
 BISECT_STEPS = 5
 
-#: A handover bracket that holds no root grows fourfold, at most this often.
+#: A handover bracket with equal signs at its ends grows fourfold, at most
+#: this often.
 BRACKET_GROWTHS = 3
+
+#: The prime of the square-free screen: above ``MAX_DEGREE``, so ``p'``
+#: keeps its degree modulo it, and small enough that products of residues
+#: stay single machine words.
+SQUARE_FREE_PRIME = 32003
 
 
 class RootStatus(Enum):
@@ -235,31 +250,28 @@ def _spread(samples: list[Sample]) -> Spread:
 class _TieWindow:
     """Exact tie test on whole blocks of ``span`` samples.
 
-    A push decides only at a checkpoint, when ``count`` is a multiple of
-    ``span`` and at least ``2 * span``: True, a tie, if the spread of the
-    block that ends there is at least that of the block before it, and
-    False otherwise.  Between checkpoints a push only appends and returns
-    None, so a run that ends before its ``2 * span``-th sample compares
-    nothing, and each block's spread is taken once.
+    A run appends each sample to ``block`` and calls ``decide`` at each
+    checkpoint, when ``block`` holds ``due`` samples: the ``2 * span``-th
+    sample, then every ``span``-th.  It returns True, a tie, if the spread
+    of the block that ends there is at least that of the block before it,
+    and False otherwise.  A run that ends before its first checkpoint
+    compares nothing, and each block's spread is taken once.
     """
 
     def __init__(self, span: int = TIE_SPAN) -> None:
         self.span = span
-        self.count = 0
-        self._block: list[Sample] = []
+        self.due = 2 * span
+        self.block: list[Sample] = []
         # the last two blocks' spreads, once a checkpoint is reached
         self._newer: Spread = (0, 1)
         self._older: Spread = (0, 1)
 
-    def push(self, n: int, d: int) -> Optional[bool]:
-        block = self._block
-        block.append((n, d))
-        self.count += 1
-        if self.count % self.span or self.count < 2 * self.span:
-            return None
-        if self.count == 2 * self.span:
+    def decide(self) -> bool:
+        block = self.block
+        if self.due > self.span:
             self._newer = _spread(block[: self.span])
             del block[: self.span]
+            self.due = self.span
         self._older, self._newer = self._newer, _spread(block)
         block.clear()
         num, den = self._newer
@@ -333,14 +345,15 @@ def _iterate_family(
     ``opts.max_iters`` if given.  A run that ends at its budget, like a
     tie, reports 0 digits: no digit of its last sample is certified.
 
-    A step reads its sample as an integer pair and feeds the exact
-    ``_TieWindow``, which decides at every ``TIE_SPAN``-th sample from the
-    fortieth on.  A step with a zero denominator has no sample: it feeds
-    nothing, and the next sample starts a new run of equal renderings, so
-    such a run only ever holds samples of consecutive steps.  It grows only
-    while ``_may_render_equal`` admits the last two samples; only then, or
-    once the run is long enough to settle, are they rendered, and only a
-    rendered, accepted or returned sample becomes a ``Fraction``.
+    A step reads its sample as an integer pair and appends it to the block
+    of the exact ``_TieWindow``, which decides at every ``TIE_SPAN``-th
+    sample from the fortieth on.  A step with a zero denominator has no
+    sample: it appends nothing, and the next sample starts a new run of
+    equal renderings, so such a run only ever holds samples of consecutive
+    steps.  It grows only while ``_may_render_equal`` admits the last two
+    samples, and only then are they rendered, from their integer pairs.  A
+    ``Fraction`` is built only for a value that is checked, returned or
+    reported as a tie.
 
     With ``accept``, that rule is replaced: each sample the prefilter admits
     goes to ``accept``, and the run converges on the first ``(value,
@@ -363,6 +376,9 @@ def _iterate_family(
     last_render: Optional[str] = None
     rejected_render: Optional[str] = None
     tie = _TieWindow()
+    block = tie.block
+    collect = block.append
+    due = tie.due
     # the last sample, and the previous step's (None if it had none)
     last: Optional[Sample] = None
     prev: Optional[Sample] = None
@@ -376,7 +392,6 @@ def _iterate_family(
             if d < 0:
                 n, d = -n, -d
             last = (n, d)
-            value: Optional[Fraction] = None
             rendering: Optional[str] = None
             admitted = prev is not None and _may_render_equal(prev, last, scale)
             if accept is not None:
@@ -393,56 +408,61 @@ def _iterate_family(
                     )
             elif admitted:
                 if last_render is None:
-                    last_render = decimal_string(Fraction(*prev), digits)
-                value = Fraction(n, d)
-                rendering = decimal_string(value, digits)
+                    last_render = decimal_string(prev[0], digits, prev[1])
+                rendering = decimal_string(n, digits, d)
                 run_length = run_length + 1 if _renders_equal(rendering, last_render) else 1
             else:
                 run_length = 1
-            if accept is None and run_length >= RENDER_WINDOW:
-                # the run grew this step, so ``value`` was rendered above
-                if not _renders_equal(rendering, rejected_render):
-                    if _residual_ok(p, value, digits) and _successive_ok(family, value, digits):
-                        return RootEstimate(
-                            value,
-                            digits,
-                            steps,
-                            RootStatus.CONVERGED,
-                            shift,
-                            ESTIMATOR_CROSS,
-                            family.peak_bits,
-                        )
-                    # A settled rendering that fails a check: remember it so
-                    # it is not re-checked every step, and keep going until
-                    # the tie detector or the budget speaks.
-                    rejected_render = rendering
-            prev, last_render = last, rendering
-            verdict = tie.push(n, d)
-            if verdict:
-                # no digit of the root is actually known in a tie: a
-                # stalled-but-rejected constant would otherwise report
-                # perfect agreement
-                return RootEstimate(
-                    Fraction(n, d) if value is None else value,
-                    0,
-                    steps,
-                    RootStatus.TIE_DETECTED,
-                    shift,
-                    ESTIMATOR_CROSS,
-                    family.peak_bits,
-                )
-            if verdict is not None and finish is not None:
-                finished = finish(last, *tie.spreads(), limit - steps)
-                if finished is not None:
+            # the run grew this step, so ``rendering`` was made above
+            if (
+                accept is None
+                and run_length >= RENDER_WINDOW
+                and not _renders_equal(rendering, rejected_render)
+            ):
+                value = Fraction(n, d)
+                if _residual_ok(p, value, digits) and _successive_ok(family, value, digits):
                     return RootEstimate(
-                        finished.value,
-                        finished.decimal_digits,
-                        steps + finished.iterations,
-                        finished.status,
+                        value,
+                        digits,
+                        steps,
+                        RootStatus.CONVERGED,
                         shift,
-                        finished.estimator,
-                        max(family.peak_bits, finished.peak_bits),
+                        ESTIMATOR_CROSS,
+                        family.peak_bits,
                     )
+                # A settled rendering that fails a check: remember it so it
+                # is not re-checked every step, and keep going until the tie
+                # detector or the budget speaks.
+                rejected_render = rendering
+            prev, last_render = last, rendering
+            collect(last)
+            if len(block) == due:
+                if tie.decide():
+                    # no digit of the root is actually known in a tie: a
+                    # stalled-but-rejected constant would otherwise report
+                    # perfect agreement
+                    return RootEstimate(
+                        Fraction(n, d),
+                        0,
+                        steps,
+                        RootStatus.TIE_DETECTED,
+                        shift,
+                        ESTIMATOR_CROSS,
+                        family.peak_bits,
+                    )
+                due = tie.due
+                if finish is not None:
+                    finished = finish(last, *tie.spreads(), limit - steps)
+                    if finished is not None:
+                        return RootEstimate(
+                            finished.value,
+                            finished.decimal_digits,
+                            steps + finished.iterations,
+                            finished.status,
+                            shift,
+                            finished.estimator,
+                            max(family.peak_bits, finished.peak_bits),
+                        )
         if steps >= limit:
             # as in a tie, no digit of an unsettled sample is certified
             return RootEstimate(
@@ -540,16 +560,47 @@ def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return quotient, r
 
 
+def _coprime_mod_prime(a: list[int], b: list[int]) -> bool:
+    """The descending integer polynomials ``a`` and ``b``, ``b`` with a
+    leading coefficient not divisible by ``SQUARE_FREE_PRIME``, have no
+    common factor over GF(``SQUARE_FREE_PRIME``): Euclid's algorithm with
+    each divisor made monic."""
+    P = SQUARE_FREE_PRIME
+    a = [c % P for c in a]
+    b = [c % P for c in b]
+    while len(b) > 1:
+        inv = pow(b[0], -1, P)
+        b = [c * inv % P for c in b]
+        for _ in range(len(a) - len(b) + 1):
+            lead = a[0]
+            if lead:
+                for i in range(1, len(b)):
+                    a[i] = (a[i] - lead * b[i]) % P
+            del a[0]
+        while a and a[0] == 0:
+            del a[0]
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def _square_free(p: MonicIntPolynomial) -> MonicIntPolynomial:
     """``p / gcd(p, p')``: the same roots, each simple.
 
-    The gcd comes from a primitive remainder sequence in integers.  It
-    divides the monic ``p``, so by Gauss's lemma its primitive part is
-    monic, and so is the exact quotient.
+    A screen modulo ``SQUARE_FREE_PRIME`` decides most calls: a repeated
+    factor ``g`` of ``p``, monic since ``p`` is, divides ``p`` and ``p'``
+    modulo the prime too, so ``p`` and ``p'`` coprime there prove ``p``
+    square-free, and ``p`` is returned.  Otherwise the gcd comes from a
+    primitive remainder sequence in integers.  It divides the monic ``p``,
+    so by Gauss's lemma its primitive part is monic, and so is the exact
+    quotient.
     """
     full = list(p.with_leading())
     m = p.degree
     a, b = full, [(m - i) * c for i, c in enumerate(full[:-1])]
+    if _coprime_mod_prime(a, b):
+        return p
     while b:
         a, b = b, _primitive(_pseudo_divide(a, b)[1])
     if len(a) == 1:
@@ -658,16 +709,34 @@ def _certified(
 
     ``q`` has sign ``s_lo`` below that root and ``-s_lo`` above it, so a
     test point inside the bracket tells on which side of it the root is.
-    The test points ``r -+ |r| * 10^-target_digits`` are ``a/w`` and
-    ``b/w`` over ``w = den * 10^target_digits``, compared with the bracket
-    by cross-multiplying and signed by ``eval_homogeneous``.
+    The exact ends ``r -+ |r| * 10^-target_digits`` are ``a/w`` and ``b/w``
+    over ``w = den * 10^target_digits``, and each side is first signed at a
+    short dyadic point between its end and ``r``: ``A/2^e`` rounded up from
+    ``a/w`` and ``B/2^e`` rounded down from ``b/w``, with ``2^-e`` at most
+    a sixteenth of ``|r| * 10^-target_digits``.  Those have about
+    ``3.3 * target_digits + 5`` bits whatever the length of ``num/den``.  A
+    root at or beyond a short point is at or beyond its end, so only a side
+    the short sign leaves open is tested at its exact end; every decision
+    is the one the exact ends alone give.  Points are compared with the
+    bracket by cross-multiplying and signed by ``eval_homogeneous``.
     """
     scale = 10**target_digits
     w = den * scale
     a, b = num * scale - abs(num), num * scale + abs(num)
-    root_above_a = a << k <= lo * w or _sign(eval_homogeneous(q, a, w)) != -s_lo
-    root_below_b = b << k >= hi * w or _sign(eval_homogeneous(q, b, w)) != s_lo
-    return root_above_a and root_below_b
+    e = max(0, w.bit_length() - abs(num).bit_length() + 5)
+    short_a, short_b = -((-a << e) // w), (b << e) // w
+    root_above_a = (
+        short_a << k <= lo << e
+        or _sign(eval_homogeneous(q, short_a, 1 << e)) != -s_lo
+        or a << k <= lo * w
+        or _sign(eval_homogeneous(q, a, w)) != -s_lo
+    )
+    return root_above_a and (
+        short_b << k >= hi << e
+        or _sign(eval_homogeneous(q, short_b, 1 << e)) != s_lo
+        or b << k >= hi * w
+        or _sign(eval_homogeneous(q, b, w)) != s_lo
+    )
 
 
 def _lowest_terms(u: int, k: int) -> tuple[int, int]:
@@ -801,10 +870,12 @@ def _finisher(
     bracket that meets a real root and report it instead of a tie.  The
     bracket is widened outward to integers over ``2^k``, and ``q`` must be
     nonzero at both ends.  Aitken's estimate can fall short of the distance
-    to go, so a bracket that Descartes' rule (as in ``_isolate``) shows to
-    hold no root grows fourfold, at most ``BRACKET_GROWTHS`` times.  The
-    first bracket not shown empty is handed over if it holds exactly one
-    root.  Otherwise the run keeps stepping.
+    to go, so a bracket with the same sign of ``q`` at both ends, which
+    holds no root or an even number of them, grows fourfold, at most
+    ``BRACKET_GROWTHS`` times, without a Descartes transform.  The first
+    bracket whose end signs differ is handed over if Descartes' rule (as in
+    ``_isolate``) counts exactly one root in it.  Otherwise the run keeps
+    stepping.
     """
     q: Optional[MonicIntPolynomial] = None
 
@@ -840,12 +911,12 @@ def _finisher(
             lo = ((n * den - num * d) << k) // w
             hi = -((-(n * den + num * d) << k) // w)
             s_lo = _sign(eval_homogeneous(q, lo, 1 << k))
-            if s_lo == 0 or eval_homogeneous(q, hi, 1 << k) == 0:
+            s_hi = _sign(eval_homogeneous(q, hi, 1 << k))
+            if not s_lo or not s_hi:
                 return None
-            count = _roots_in_unit_interval(_on_unit_interval(q, lo, hi, k))
-            if count == 1:
-                return _extract_bracket(q, lo, hi, k, s_lo, opts)
-            if count:
+            if s_lo != s_hi:
+                if _roots_in_unit_interval(_on_unit_interval(q, lo, hi, k)) == 1:
+                    return _extract_bracket(q, lo, hi, k, s_lo, opts)
                 return None
             num *= 4
         return None

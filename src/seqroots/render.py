@@ -19,9 +19,12 @@ EXACT_AGREEMENT = 999
 _CONTEXTS: dict[int, Context] = {}
 
 
-def decimal_string(value: Fraction | int, digits: int) -> str:
-    """``value`` rounded to ``digits`` significant digits, round-half-even.
+def decimal_string(value: Fraction | int, digits: int, denominator: int = 1) -> str:
+    """``value / denominator`` rounded to ``digits`` significant digits,
+    round-half-even.  ``denominator`` must be positive.
 
+    A ratio of integers renders without a ``Fraction``: the quotient is
+    rounded once, so ``(n, d)`` and ``n/d`` in lowest terms give one string.
     Exact short expansions stay short ("-2.5" not "-2.5000"); inexact ones
     keep trailing zeros produced by rounding ("0.41420" at 5 digits).
     """
@@ -30,14 +33,18 @@ def decimal_string(value: Fraction | int, digits: int) -> str:
         if digits < 1:
             raise ValueError("digits must be >= 1")
         ctx = _CONTEXTS[digits] = Context(prec=digits, rounding=ROUND_HALF_EVEN)
-    return str(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)))
+    return str(
+        ctx.divide(Decimal(value.numerator), Decimal(value.denominator * denominator))
+    )
 
 
 def ratio_string(numerator: int, denominator: int, digits: int) -> str:
     """Rendered ratio, with ``"inf"`` for a zero denominator."""
     if denominator == 0:
         return "inf"
-    return decimal_string(Fraction(numerator, denominator), digits)
+    if denominator < 0:
+        numerator, denominator = -numerator, -denominator
+    return decimal_string(numerator, digits, denominator)
 
 
 def agreement_digits(a: Fraction, b: Fraction) -> int:

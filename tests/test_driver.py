@@ -33,11 +33,12 @@ from seqroots.driver import (
     _iterate_family as iterate_family,
     _lowest_terms,
     _may_render_equal,
+    _on_unit_interval as on_unit_interval,
     _square_free,
     _TieWindow,
 )
 from seqroots.errors import OutOfRangeError, ZeroDenominatorError
-from seqroots.poly import eval_rational
+from seqroots.poly import MAX_DEGREE, eval_homogeneous, eval_rational
 from seqroots.render import EXACT_AGREEMENT, decimal_string
 from seqroots.sequences import SequenceFamily
 
@@ -382,6 +383,61 @@ class TestIntegerCertificate:
         assert _certified(q, 414213562373095, 10**15, lo, hi, k, s_lo, 12)
         assert not _certified(q, 414213562374, 10**12, lo, hi, k, s_lo, 12)
 
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_root_next_to_an_exact_end_is_decided_there(
+        self, positive, side, inside, monkeypatch
+    ):
+        # The root lies 2^-40 of the certificate's half-width inside (or
+        # outside) its left (side 1) or right (side -1) end.  The short point
+        # of that side lies between the end and r, here beyond the root, so
+        # its sign leaves the side open and the exact end decides.  The other
+        # side is decided at its short point alone.
+        q, digits = QUADRATIC, 12
+        _, intervals = _isolate(q)
+        (lo, hi, k, s_lo), = [i for i in intervals if (i[0] >= 0) == positive]
+        left, right = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+        root = self.near_root(q, left, right, s_lo, 300)
+        t = Fraction(1, 10**digits)
+        eps = abs(root) * t / 2**40 * (1 if inside else -1)
+        # the end r - side * |r| * t sits at root - side * eps
+        r = (root - side * eps) / (1 - side * t if positive else 1 + side * t)
+        num, den, scale = r.numerator, r.denominator, 10**digits
+        ends = {s: (num * scale - s * abs(num), den * scale) for s in (1, -1)}
+        assert _sign(eval_rational(q, Fraction(*ends[side]))) == (
+            side * s_lo if inside else -side * s_lo
+        )
+        points = []
+
+        def spy(poly, u, v):
+            points.append((u, v))
+            return eval_homogeneous(poly, u, v)
+
+        monkeypatch.setattr(driver, "eval_homogeneous", spy)
+        got = _certified(q, num, den, lo, hi, k, s_lo, digits)
+        assert got is inside
+        assert got == self.reference(q, r, left, right, s_lo, digits)
+        assert ends[side] in points
+        if inside:
+            assert ends[-side] not in points
+
+    @pytest.mark.parametrize(
+        "coeffs, lo, hi, k, s_lo, want",
+        [
+            # x^2 + x - 1 is -1 at 0, below its root 0.618 in (-1, 1)
+            ([1, 1, -1], -1, 1, 0, -1, False),
+            # x^2 + x has the root 0 in (-1/2, 1/2)
+            ([1, 1, 0], -1, 1, 1, -1, True),
+        ],
+    )
+    def test_zero_numerator(self, coeffs, lo, hi, k, s_lo, want):
+        # r = 0: both ends and both short points are 0 itself
+        q = make_polynomial(coeffs)
+        left, right = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+        assert _certified(q, 0, 7, lo, hi, k, s_lo, 12) is want
+        assert self.reference(q, Fraction(0), left, right, s_lo, 12) is want
+
     @given(u=st.integers(-(2**70), 2**70), k=st.integers(0, 80))
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_lowest_terms(self, u, k):
@@ -440,23 +496,31 @@ class TestTieWindow:
         item = st.one_of(TestTieWindow.small, TestTieWindow.large)
         return span, draw(st.lists(item, min_size=length, max_size=length))
 
+    @staticmethod
+    def drive(window: _TieWindow, stream: list[tuple[int, int]]) -> list[Optional[bool]]:
+        """Append each sample and decide at each checkpoint, as a run does:
+        a verdict per sample, None between checkpoints."""
+        got: list[Optional[bool]] = []
+        for sample in stream:
+            window.block.append(sample)
+            got.append(window.decide() if len(window.block) == window.due else None)
+        return got
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(case=span_and_stream())
     def test_matches_fraction_max_min(self, case):
         span, stream = case
         window = _TieWindow(span)
         got = []
-        for k, (n, d) in enumerate(stream, 1):
-            got.append(window.push(n, d))
-            assert window.count == k
-            if k % span == 0 and k >= 2 * span:
+        for k in range(1, len(stream) + 1):
+            got += self.drive(window, stream[k - 1 : k])
+            if got[-1] is not None:
                 newer, older = stream[k - span : k], stream[k - 2 * span : k - span]
                 assert window.spreads() == (self.spread(newer), self.spread(older))
         assert got == self.reference(stream, span)
 
     def test_constant_stream_ties_once_full(self):
-        window = _TieWindow()
-        got = [window.push(2 * k, k) for k in range(1, 2 * TIE_SPAN + 1)]
+        got = self.drive(_TieWindow(), [(2 * k, k) for k in range(1, 2 * TIE_SPAN + 1)])
         assert got == [None] * (2 * TIE_SPAN - 1) + [True]
 
 
@@ -836,6 +900,24 @@ class TestHandover:
         assert len(calls) == 1
         assert (est.status, est.iterations) == (RootStatus.CONVERGED, 41)
 
+    def test_equal_end_signs_grow_the_bracket_without_descartes(self, monkeypatch):
+        # x^4-2x^3-x^2-8x-8: the first handover bracket has the same sign at
+        # both ends and holds no root, so it grows; only the grown bracket,
+        # whose ends differ in sign, gets a Descartes count
+        built = []
+
+        def spy(*args):
+            built.append(args[1:])
+            return on_unit_interval(*args)
+
+        monkeypatch.setattr(driver, "_on_unit_interval", spy)
+        with handovers() as calls:
+            est = _run([1, -2, -1, -8, -8], None)
+        assert len(calls) == 1
+        (q, lo, hi, k, s_lo, _), _ = calls[0]
+        assert built == [(lo, hi, k)]
+        assert est.status is RootStatus.CONVERGED
+
     @pytest.mark.parametrize(
         "coeffs, shift",
         [
@@ -959,6 +1041,37 @@ class TestRepeatedDominantRoot:
         want = sympy.Poly(coeffs, X).sqf_part().monic().all_coeffs()
         assert list(q.with_leading()) == [int(c) for c in want]
         # a square-free polynomial comes back as it is, with no division
+        assert (q is p) == (q.degree == p.degree)
+
+
+class TestSquareFreeScreen:
+    """``_square_free`` returns a ``p`` that is square-free modulo
+    ``SQUARE_FREE_PRIME`` as it is; every other ``p`` goes on to the
+    remainder sequence."""
+
+    def test_square_free_with_a_double_root_modulo_the_prime(self):
+        # x (x - P) is x^2 modulo P: the screen cannot tell, the remainder
+        # sequence finds a constant gcd
+        P = driver.SQUARE_FREE_PRIME
+        assert P > MAX_DEGREE
+        assert not driver._coprime_mod_prime([1, -P, 0], [2, -P])
+        p = make_polynomial([1, -P, 0])
+        assert _square_free(p) is p
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        f=st.lists(st.integers(-9, 9), max_size=3),
+        g=st.lists(st.integers(-9, 9), min_size=1, max_size=2),
+        power=st.integers(1, 3),
+    )
+    def test_matches_sympy(self, f, g, power):
+        # f * g^power: a repeated factor from power 2 on
+        product = sympy.Poly([1, *f], X) * sympy.Poly([1, *g], X) ** power
+        coeffs = [int(c) for c in product.all_coeffs()]
+        p = make_polynomial(coeffs)
+        q = _square_free(p)
+        want = sympy.Poly(coeffs, X).sqf_part().monic().all_coeffs()
+        assert list(q.with_leading()) == [int(c) for c in want]
         assert (q is p) == (q.degree == p.degree)
 
 

@@ -4,6 +4,8 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqroots.render import EXACT_AGREEMENT, agreement_digits, decimal_string, ratio_string
 
@@ -61,12 +63,28 @@ class TestDecimalString:
         ]
 
 
+    @given(
+        n=st.integers(-(10**40), 10**40),
+        d=st.integers(1, 10**40),
+        factor=st.integers(1, 10**6),
+        digits=st.integers(1, 40),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_integer_pair_renders_as_its_fraction(self, n, d, factor, digits):
+        # the pair need not be in lowest terms
+        want = decimal_string(Fraction(n, d), digits)
+        assert decimal_string(n * factor, digits, d * factor) == want
+
+
 class TestRatioString:
     def test_zero_denominator_is_inf(self):
         assert ratio_string(1, 0, 5) == "inf"
 
     def test_normal_ratio(self):
         assert ratio_string(169, -70, 5) == "-2.4143"
+
+    def test_zero_over_a_negative_denominator_has_no_sign(self):
+        assert ratio_string(0, -3, 5) == "0"
 
 
 class TestAgreementDigits:
