@@ -92,8 +92,6 @@ def run_bench(
     digits: int = 12,
     runs: int = 5,
 ) -> list[BenchRow]:
-    if runs < 5:
-        runs = 5
     opts = DriverOptions(target_digits=digits)
     rows = []
     for case in cases:

@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from decimal import Decimal
+from fractions import Fraction
 from typing import Callable, NoReturn, Optional, Sequence
 
 from .bench import BenchCase, builtin_cases, format_report, run_bench
@@ -77,24 +79,19 @@ def _seed_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad seed {text!r}: {exc}")
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--digits",
-            type=_positive,
+            type=_at_least(1),
             default=DEFAULT_OPTIONS.target_digits,
             help="significant digits for rendering and convergence "
             "(default %(default)s)",
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--seed", type=_seed_arg, help="starting vector (default 1,0,...,0)")
     seq.add_argument(
         "--steps",
-        type=_non_negative,
+        type=_at_least(0),
         default=0,
         help="final step index; the table has steps+1 rows",
     )
@@ -138,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     root.add_argument("--shift", type=_shift_arg, help="affine shift 'a,b' selecting the target root")
     root.add_argument(
         "--max-iters",
-        type=_positive,
+        type=_at_least(1),
         default=DEFAULT_OPTIONS.max_iters,
         help="iteration budget (default %(default)s)",
     )
@@ -147,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(roots)
     roots.add_argument(
         "--max-iters",
-        type=_positive,
+        type=_at_least(1),
         default=DEFAULT_OPTIONS.max_iters,
         help="iteration budget per run (default %(default)s)",
     )
@@ -158,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(bench, poly_required=False)
     bench.add_argument("--shift", type=_shift_arg, help="affine shift 'a,b' for the single-case run")
     bench.add_argument(
-        "--runs", type=_positive, default=5, help="timing repetitions (default %(default)s)"
+        "--runs", type=_at_least(5), default=5, help="timing repetitions, 5 or more"
     )
     return parser
 
@@ -173,10 +170,16 @@ def _shift_field(shift: Optional[AffineShift]) -> Optional[list[str]]:
     return [str(shift.a), str(shift.b)]
 
 
+def _fraction_text(value: Fraction) -> str:
+    """``str(value)`` via ``Decimal``, which the int-to-str digit limit does not cover."""
+    n, d = (str(Decimal(i)) for i in value.as_integer_ratio())
+    return n if d == "1" else f"{n}/{d}"
+
+
 def _estimate_field(est: RootEstimate, digits: int) -> dict:
     return {
         "value": est.decimal(digits),
-        "fraction": str(est.value),
+        "fraction": _fraction_text(est.value),
         "digits": est.decimal_digits,
         "status": est.status.value,
         "iterations": est.iterations,

@@ -101,6 +101,7 @@ from .poly import (
     AffineShift,
     MonicIntPolynomial,
     cauchy_bound,
+    compose_affine,
     deflate_zero_root,
     eval_homogeneous,
     eval_rational,
@@ -222,15 +223,15 @@ def _renders_equal(x: str, y: Optional[str]) -> bool:
     return x == y or (y is not None and Decimal(x) == Decimal(y))
 
 
-def _may_render_equal(x: Sample, y: Sample, scale: int) -> bool:
-    """False only if ``x`` and ``y`` render differently at D significant
-    digits, where ``scale = 10^(D-1)``.
+def _may_render_equal(xn: int, xd: int, yn: int, yd: int, scale: int) -> bool:
+    """False only if ``xn/xd`` and ``yn/yd`` (``xd, yd > 0``) render
+    differently at D significant digits, where ``scale = 10^(D-1)``.
 
     Equal renderings ``r`` give ``|x - y| <= ulp(r) <= 10^(1-D) * |r|`` and
     ``|r| <= 2 * max(|x|, |y|)``; multiplied out by both denominators.
     """
-    a = x[0] * y[1]
-    b = y[0] * x[1]
+    a = xn * yd
+    b = yn * xd
     return abs(a - b) * scale <= 2 * max(abs(a), abs(b))
 
 
@@ -367,35 +368,35 @@ def _iterate_family(
     part may tie), its steps and peak bits added to the run's own.
     """
     family = SequenceFamily(p, shift=shift)
+    vec = family.current
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     digits = opts.target_digits
     scale = 10 ** (digits - 1)
     steps = 0
     run_length = 0
-    # rendering of ``prev``, or None while it has not been needed
+    # rendering of the previous sample, or None while it has not been needed
     last_render: Optional[str] = None
     rejected_render: Optional[str] = None
     tie = _TieWindow()
-    block = tie.block
-    collect = block.append
+    collect = tie.block.append
+    # samples until the next tie checkpoint
     due = tie.due
-    # the last sample, and the previous step's (None if it had none)
+    # the last sample; the previous step's is pn/pd, with pd = 0 if it had none
     last: Optional[Sample] = None
-    prev: Optional[Sample] = None
+    pn = pd = 0
 
     while True:
-        vec = family.current
         n, d = vec[0], vec[1]
         if not d:
-            prev = None
+            pd = 0
         else:
             if d < 0:
                 n, d = -n, -d
-            last = (n, d)
-            rendering: Optional[str] = None
-            admitted = prev is not None and _may_render_equal(prev, last, scale)
-            if accept is not None:
-                accepted = accept(n, d) if admitted else None
+            if not pd or not _may_render_equal(pn, pd, n, d, scale):
+                run_length = 1
+                last_render = None
+            elif accept is not None:
+                accepted = accept(n, d)
                 if accepted is not None:
                     return RootEstimate(
                         accepted[0],
@@ -406,37 +407,33 @@ def _iterate_family(
                         accepted[1],
                         family.peak_bits,
                     )
-            elif admitted:
+            else:
                 if last_render is None:
-                    last_render = decimal_string(prev[0], digits, prev[1])
+                    last_render = decimal_string(pn, digits, pd)
                 rendering = decimal_string(n, digits, d)
                 run_length = run_length + 1 if _renders_equal(rendering, last_render) else 1
-            else:
-                run_length = 1
-            # the run grew this step, so ``rendering`` was made above
-            if (
-                accept is None
-                and run_length >= RENDER_WINDOW
-                and not _renders_equal(rendering, rejected_render)
-            ):
-                value = Fraction(n, d)
-                if _residual_ok(p, value, digits) and _successive_ok(family, value, digits):
-                    return RootEstimate(
-                        value,
-                        digits,
-                        steps,
-                        RootStatus.CONVERGED,
-                        shift,
-                        ESTIMATOR_CROSS,
-                        family.peak_bits,
-                    )
-                # A settled rendering that fails a check: remember it so it
-                # is not re-checked every step, and keep going until the tie
-                # detector or the budget speaks.
-                rejected_render = rendering
-            prev, last_render = last, rendering
+                if run_length >= RENDER_WINDOW and not _renders_equal(rendering, rejected_render):
+                    value = Fraction(n, d)
+                    if _residual_ok(p, value, digits) and _successive_ok(family, value, digits):
+                        return RootEstimate(
+                            value,
+                            digits,
+                            steps,
+                            RootStatus.CONVERGED,
+                            shift,
+                            ESTIMATOR_CROSS,
+                            family.peak_bits,
+                        )
+                    # A settled rendering that fails a check: remember it so
+                    # it is not re-checked every step, and keep going until
+                    # the tie detector or the budget speaks.
+                    rejected_render = rendering
+                last_render = rendering
+            pn, pd = n, d
+            last = (n, d)
             collect(last)
-            if len(block) == due:
+            due -= 1
+            if not due:
                 if tie.decide():
                     # no digit of the root is actually known in a tie: a
                     # stalled-but-rejected constant would otherwise report
@@ -479,7 +476,7 @@ def _iterate_family(
         # before any run (the repeated-root restart included), and an
         # extraction run iterates a reversed polynomial, whose constant
         # term K^(m-1) != 0 makes its matrix invertible.
-        family.step()
+        vec = family.step()
         steps += 1
 
 
@@ -610,16 +607,6 @@ def _square_free(p: MonicIntPolynomial) -> MonicIntPolynomial:
     return MonicIntPolynomial(tuple(quotient[1:]))
 
 
-def _taylor_shift_one(desc: list[int]) -> list[int]:
-    """Descending coefficients of ``P(x + 1)``."""
-    a = list(desc)
-    n = len(a) - 1
-    for i in range(n):
-        for j in range(1, n - i + 1):
-            a[j] += a[j - 1]
-    return a
-
-
 def _roots_in_unit_interval(desc: list[int]) -> int:
     """Descartes bound on the roots of ``P`` in (0, 1), capped at 2.
 
@@ -628,7 +615,7 @@ def _roots_in_unit_interval(desc: list[int]) -> int:
     """
     count = 0
     last = 0
-    for c in _taylor_shift_one(desc[::-1]):
+    for c in compose_affine(desc[::-1], 1, 1, 1):
         if c == 0:
             continue
         if last and (c > 0) != (last > 0):
@@ -642,10 +629,7 @@ def _roots_in_unit_interval(desc: list[int]) -> int:
 def _on_unit_interval(q: MonicIntPolynomial, lo: int, hi: int, k: int) -> list[int]:
     """Descending integer coefficients of ``P(t) = c * q((lo + (hi - lo) t) / 2^k)``
     for some ``c > 0``: the roots of ``q`` in the bracket, mapped onto (0, 1)."""
-    width = hi - lo
-    m = q.degree
-    mapped = shift_scale(q, AffineShift(-lo, 1 << k)).with_leading()
-    return [c * width ** (m - i) for i, c in enumerate(mapped)]
+    return compose_affine(q.with_leading(), hi - lo, lo, 1 << k)
 
 
 def _isolate(
@@ -684,8 +668,8 @@ def _isolate(
             low = next(a for a in reversed(poly) if a != 0)
             intervals.append((point(c, k), point(c + 1, k), k, 1 if low > 0 else -1))
             continue
-        left = [a << i for i, a in enumerate(poly)]
-        right = _taylor_shift_one(left)
+        left = compose_affine(poly, 1, 0, 2)
+        right = compose_affine(left, 1, 1, 1)
         if right[-1] == 0:
             exact.append(Fraction(point(2 * c + 1, k + 1), 1 << (k + 1)))
         todo.append((left, 2 * c, k + 1))

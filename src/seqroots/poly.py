@@ -143,30 +143,53 @@ def cauchy_bound(p: MonicIntPolynomial) -> int:
     return 1 + max(abs(a) for a in p.coeffs)
 
 
-def _times_linear(desc: list[int], c0: int) -> list[int]:
-    """Multiply a polynomial in descending coefficients by ``(x + c0)``."""
-    out = desc + [0]
-    for i, d in enumerate(desc):
-        out[i + 1] += d * c0
-    return out
+def compose_affine(desc: Sequence[int], alpha: int, beta: int, gamma: int) -> list[int]:
+    """Descending integer coefficients of ``gamma^m * P((alpha*x + beta)/gamma)``
+    for the descending coefficients ``desc`` of a degree-``m`` ``P``.
+
+    The one substitution kernel: coefficient ``i`` is scaled by ``gamma^i``,
+    the list is Taylor-shifted by ``beta`` in place, and coefficient ``i`` is
+    scaled by ``alpha^(m-i)``.  Factors of 1 and a shift by 0 are skipped.
+
+    >>> compose_affine([1, 0, -2], 3, 1, 2)  # 4 * (((3x + 1)/2)^2 - 2)
+    [9, 6, -7]
+    """
+    a = list(desc)
+    n = len(a) - 1
+    if gamma != 1:
+        power = 1
+        for i in range(1, n + 1):
+            power *= gamma
+            a[i] *= power
+    # pass i divides a[:i+1] by (x - beta) synthetically, remainder in a[i]
+    if beta == 1:
+        for i in range(n, 0, -1):
+            acc = a[0]
+            for j in range(1, i + 1):
+                acc = a[j] = a[j] + acc
+    elif beta:
+        for i in range(n, 0, -1):
+            acc = a[0]
+            for j in range(1, i + 1):
+                acc = a[j] = a[j] + beta * acc
+    if alpha != 1:
+        power = 1
+        for i in range(n - 1, -1, -1):
+            power *= alpha
+            a[i] *= power
+    return a
 
 
 def shift_scale(p: MonicIntPolynomial, s: AffineShift) -> MonicIntPolynomial:
     """Monic integer polynomial whose roots are ``a + b*r`` for roots ``r`` of ``p``.
 
-    Computed as ``b^m * p((x - a)/b)``: each ``a_k`` is scaled by ``b^k`` and the
-    result is composed with ``(x - a)`` by exact synthetic (Horner) substitution,
-    so coefficients stay integers throughout.
+    Computed as ``b^m * p((x - a)/b)`` by ``compose_affine``, so coefficients
+    stay integers throughout.
 
     >>> str(shift_scale(MonicIntPolynomial((2, -1)), AffineShift(2, 1)))
     'x^2 - 2x - 1'
     """
-    scaled = [a * s.b**k for k, a in enumerate(p.coeffs, start=1)]
-    acc = [1]
-    for c in scaled:
-        acc = _times_linear(acc, -s.a)
-        acc[-1] += c
-    return MonicIntPolynomial(tuple(acc[1:]))
+    return MonicIntPolynomial(tuple(compose_affine(p.with_leading(), 1, -s.a, s.b)[1:]))
 
 
 def deflate_zero_root(p: MonicIntPolynomial) -> MonicIntPolynomial:
@@ -188,7 +211,9 @@ def reversed_monic(p: MonicIntPolynomial) -> MonicIntPolynomial:
     const = p.constant_term
     if const == 0:
         raise ValueError("constant term is zero; deflate the zero root first")
-    full = p.with_leading()
-    m = p.degree
-    coeffs = tuple(full[m - j] * const ** (j - 1) for j in range(1, m + 1))
-    return MonicIntPolynomial(coeffs)
+    # coefficient j is a_(m-j) * const^(j-1), with a_0 = 1
+    coeffs, power = [], 1
+    for c in p.coeffs[-2::-1]:
+        coeffs.append(c * power)
+        power *= const
+    return MonicIntPolynomial((*coeffs, power))

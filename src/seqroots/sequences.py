@@ -25,7 +25,9 @@ stores ``M^j S_0`` exactly.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from itertools import chain
 from operator import index
 from typing import Optional, Sequence
 
@@ -50,9 +52,12 @@ class SequenceFamily:
     Distinct families share nothing and may run concurrently; a single
     family must not be stepped from two tasks at once.  The family iterates
     ``self.matrix = iteration_matrix(poly, shift)``; its cross ratios
-    approach a root of ``poly``.  Seed components must be integers
-    (``TypeError`` otherwise).
+    approach a root of ``poly``.  ``current`` is the vector at step ``j``.
+    Seed components must be integers (``TypeError`` otherwise).
     """
+
+    __slots__ = ("poly", "shift", "matrix", "degree", "j", "current", "peak_bits",
+                 "_copies", "_stored")
 
     def __init__(
         self,
@@ -65,81 +70,64 @@ class SequenceFamily:
         m = poly.degree
         if seed is None:
             seed = default_seed(m)
-        seed = tuple(map(index, seed))
-        if len(seed) != m:
-            raise DimensionMismatchError(f"seed has dim {len(seed)}, need {m}")
-        if not any(seed):
-            raise ZeroSeedError("seed vector is zero")
+        else:
+            seed = tuple(map(index, seed))
+            if len(seed) != m:
+                raise DimensionMismatchError(f"seed has dim {len(seed)}, need {m}")
+            if not any(seed):
+                raise ZeroSeedError("seed vector is zero")
+        matrix = iteration_matrix(poly, shift)
+        # the last m vectors, or every vector with ``keep_history``
+        stored = deque([seed], maxlen=None if keep_history else m)
+        vec = seed
+        for _ in range(m - 1):
+            vec = mat_vec(matrix, vec)
+            stored.append(vec)
+        # under (0, 1) a step copies all components but the first, so the
+        # start vectors hold no component outside the seed and the last one
+        copies = shift.a == 0 and shift.b == 1
         self.poly = poly
         self.shift = shift
-        self.matrix = iteration_matrix(poly, shift)
-        self._m = m
-        # under (0, 1) a step copies all components but the first
-        self._copies = shift.a == 0 and shift.b == 1
-        self._window: list[IntVector] = []
-        self._history: Optional[list[IntVector]] = [] if keep_history else None
-        self.peak_bits = 0
-
-        self._store(seed)
-        for _ in range(m - 1):
-            self._store(mat_vec(self.matrix, self._window[-1]))
+        self.matrix = matrix
+        self.degree = m
         self.j = m - 1
+        self.current = vec
+        components = seed + vec if copies else chain.from_iterable(stored)
+        self.peak_bits = max(map(int.bit_length, components))
+        self._copies = copies
+        self._stored = stored
 
     # -- state ------------------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        return self._m
-
-    @property
-    def current(self) -> IntVector:
-        """The most recent state vector."""
-        return self._window[-1]
-
-    @property
     def window(self) -> tuple[IntVector, ...]:
-        return tuple(self._window)
-
-    def _store(self, vec: IntVector) -> None:
-        """Keep one of the ``m`` start vectors, all its components counted."""
-        self._window.append(vec)
-        if self._history is not None:
-            self._history.append(vec)
-        bits = max(map(int.bit_length, vec))
-        if bits > self.peak_bits:
-            self.peak_bits = bits
+        """The last ``m`` vectors, the current one last."""
+        return tuple(self._stored)[-self.degree :]
 
     def vector(self, j: int) -> IntVector:
         """State vector at step ``j`` (needs history, or ``j`` inside the window)."""
-        if self._history is not None:
-            if 0 <= j < len(self._history):
-                return self._history[j]
-            raise OutOfRangeError(f"step {j} not recorded (history up to {self.j})")
-        offset = j - (self.j - len(self._window) + 1)
-        if 0 <= offset < len(self._window):
-            return self._window[offset]
-        raise OutOfRangeError(
-            f"step {j} outside window [{self.j - len(self._window) + 1}, {self.j}]"
-        )
+        first = self.j - len(self._stored) + 1
+        if first <= j <= self.j:
+            return self._stored[j - first]
+        raise OutOfRangeError(f"step {j} outside the stored steps [{first}, {self.j}]")
 
     # -- advancing --------------------------------------------------------
 
-    def step(self) -> None:
-        """Advance by one index: the new vector is ``M v`` for the current ``v``.
+    def step(self) -> IntVector:
+        """Advance by one index and return the new vector ``M v`` for the
+        current ``v``.
 
         Under the identity shift the components after the first were stored,
         and counted in ``peak_bits``, one step earlier.
         """
+        vec = mat_vec(self.matrix, self.current)
         self.j += 1
-        window = self._window
-        vec = mat_vec(self.matrix, window[-1])
-        window.append(vec)
-        del window[0]
-        if self._history is not None:
-            self._history.append(vec)
+        self.current = vec
+        self._stored.append(vec)
         bits = vec[0].bit_length() if self._copies else max(map(int.bit_length, vec))
         if bits > self.peak_bits:
             self.peak_bits = bits
+        return vec
 
     def run_to(self, j: int) -> None:
         """Step until the current index reaches ``j``."""

@@ -4,15 +4,18 @@ import json
 import re
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from seqroots import IDENTITY_SHIFT, RootEstimate, RootStatus
 from seqroots.cli import (
     EXIT_MAX_ITERS,
     EXIT_OK,
     EXIT_TIE,
     EXIT_USAGE,
+    _estimate_field,
     main,
     render_text,
 )
@@ -132,6 +135,21 @@ class TestRootCommand:
         assert "/" in est["fraction"] or est["fraction"].lstrip("-").isdigit()
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="no int-to-str digit limit")
+def test_fraction_field_past_the_int_to_str_limit():
+    # str() of either integer would raise under the limit; the field does not
+    value = Fraction(10**700 + 1, 10**700)
+    est = RootEstimate(value, 12, 1, RootStatus.CONVERGED, IDENTITY_SHIFT, "cross-ratio")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        field = _estimate_field(est, 12)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert field["fraction"] == "1" + "0" * 699 + "1/1" + "0" * 700
+    assert field["value"] == "1.00000000000"
+
+
 class TestRootsCommand:
     def test_two_roots(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "--poly", "1,2,-1")
@@ -171,6 +189,34 @@ class TestBenchCommand:
         )
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 2
+
+    def test_fewer_than_five_runs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--runs", "4"])
+        assert info.value.code == EXIT_USAGE
+        assert "--runs: must be >= 5, got 4" in capsys.readouterr().err
+
+    def test_five_runs_meet_acceptance_criterion_8(self, capsys):
+        code, raw, _ = run_cli(capsys, "bench", "--runs", "5", "--json")
+        assert code == EXIT_OK
+        rows = json.loads(raw)["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["digits"] == 12
+            assert row["exact_iterations"] > 0 and row["exact_peak_bits"] > 0
+            assert row["float_iterations"] > 0
+            assert len(row["exact_value"]) >= 12
+            assert row["exact_seconds"] < 1.0
+
+    def test_runs_are_timed_as_many_times_as_asked(self, monkeypatch):
+        # no silent clamp: run_bench times each side exactly ``runs`` times
+        import seqroots.bench as bench
+
+        calls = []
+        real = bench._run_exact
+        monkeypatch.setattr(bench, "_run_exact", lambda *a: calls.append(a) or real(*a))
+        bench.run_bench(bench.builtin_cases()[:1], runs=2)
+        assert len(calls) == 2
 
     def test_json_rows(self, capsys):
         _, raw, _ = run_cli(capsys, "bench", "--poly", "1,2,-1", "--json")

@@ -38,7 +38,7 @@ from seqroots.driver import (
     _TieWindow,
 )
 from seqroots.errors import OutOfRangeError, ZeroDenominatorError
-from seqroots.poly import MAX_DEGREE, eval_homogeneous, eval_rational
+from seqroots.poly import MAX_DEGREE, eval_homogeneous, eval_rational, shift_scale
 from seqroots.render import EXACT_AGREEMENT, decimal_string
 from seqroots.sequences import SequenceFamily
 
@@ -673,8 +673,8 @@ class TestRenderPrefilter:
         scale = 10 ** (digits - 1)
         rendered = [Decimal(decimal_string(Fraction(*v), digits)) for v in (x, y)]
         if rendered[0] == rendered[1]:
-            assert _may_render_equal(x, y, scale)
-            assert _may_render_equal(y, x, scale)
+            assert _may_render_equal(*x, *y, scale)
+            assert _may_render_equal(*y, *x, scale)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
@@ -703,11 +703,11 @@ class TestRenderPrefilter:
         pairs = [(v.numerator, v.denominator) for v in (x, y)]
         rendered = [Decimal(decimal_string(v, digits)) for v in (x, y)]
         if rendered[0] == rendered[1]:
-            assert _may_render_equal(*pairs, 10 ** (digits - 1))
+            assert _may_render_equal(*pairs[0], *pairs[1], 10 ** (digits - 1))
 
     def test_rejects_far_apart_samples(self):
-        assert not _may_render_equal((3, 2), (7, 5), 10**11)
-        assert _may_render_equal((3, 1), (3 * 10**12 + 1, 10**12), 10**11)
+        assert not _may_render_equal(3, 2, 7, 5, 10**11)
+        assert _may_render_equal(3, 1, 3 * 10**12 + 1, 10**12, 10**11)
 
 
 class TestRegressionPins:
@@ -1073,6 +1073,26 @@ class TestSquareFreeScreen:
         want = sympy.Poly(coeffs, X).sqf_part().monic().all_coeffs()
         assert list(q.with_leading()) == [int(c) for c in want]
         assert (q is p) == (q.degree == p.degree)
+
+
+class TestDescartesTransform:
+    """``_on_unit_interval`` makes ``P`` in one ``compose_affine`` call; it
+    equals the two-step form: ``shift_scale`` onto ``2^k`` times the
+    bracket, then a scaling by the width."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=10),
+        lo=st.integers(-(10**6), 10**6),
+        width=st.integers(1, 10**6),
+        k=st.integers(0, 40),
+    )
+    def test_matches_the_two_step_form(self, coeffs, lo, width, k):
+        q = make_polynomial([1, *coeffs])
+        mapped = shift_scale(q, AffineShift(-lo, 1 << k)).with_leading()
+        m = q.degree
+        old = [c * width ** (m - i) for i, c in enumerate(mapped)]
+        assert on_unit_interval(q, lo, lo + width, k) == old
 
 
 class TestSeedCollapse:

@@ -19,6 +19,7 @@ from seqroots import (
 from seqroots.poly import (
     MAX_DEGREE,
     cauchy_bound,
+    compose_affine,
     deflate_zero_root,
     eval_homogeneous,
     eval_rational,
@@ -185,6 +186,51 @@ class TestShiftScale:
         assert shift_scale(shift_scale(p, s), back) == p
 
 
+def _expand_affine(desc, alpha, beta, gamma):
+    """``gamma^m * P((alpha*x + beta)/gamma)`` term by term in ``Fraction``s:
+    the powers of the linear factor are multiplied out one at a time."""
+    m = len(desc) - 1
+    linear = (Fraction(alpha, gamma), Fraction(beta, gamma))
+    out = [Fraction(0)] * (m + 1)
+    power = [Fraction(1)]  # ((alpha*x + beta)/gamma)^k, descending
+    for c in reversed(desc):
+        for i, t in enumerate(power):
+            out[m - len(power) + 1 + i] += c * t
+        power = [a * linear[0] + b * linear[1] for a, b in zip(power + [0], [0] + power)]
+    return [c * gamma**m for c in out]
+
+
+class TestComposeAffine:
+    """``compose_affine`` is the one substitution kernel: ``shift_scale``,
+    the Descartes transforms and the bisection halves all go through it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        desc=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=13),
+        alpha=st.integers(1, 10**4),
+        beta=st.integers(-10**4, 10**4),
+        gamma=st.integers(1, 10**4),
+    )
+    def test_matches_fraction_expansion(self, desc, alpha, beta, gamma):
+        before = list(desc)
+        got = compose_affine(desc, alpha, beta, gamma)
+        assert got == _expand_affine(desc, alpha, beta, gamma)
+        assert all(type(c) is int for c in got)
+        assert desc == before
+
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, expected",
+        [
+            (1, 0, 1, [2, -3, 0, 5]),
+            (1, 1, 1, [2, 3, 0, 4]),  # P(x + 1)
+            (1, 0, 2, [2, -6, 0, 40]),  # 8 P(x/2)
+            (3, 0, 1, [54, -27, 0, 5]),  # P(3x)
+        ],
+    )
+    def test_each_factor_alone(self, alpha, beta, gamma, expected):
+        assert compose_affine([2, -3, 0, 5], alpha, beta, gamma) == expected
+
+
 class TestDeflateZeroRoot:
     def test_divides_out_x(self):
         p = make_polynomial([1, 0, -1, 0])  # x^3 - x
@@ -214,6 +260,15 @@ class TestReversedMonic:
     def test_rejects_zero_constant(self):
         with pytest.raises(ValueError):
             reversed_monic(make_polynomial([1, 1, 0]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=12).filter(lambda c: c[-1]))
+    def test_coefficient_j_is_scaled_by_a_power_of_the_constant(self, coeffs):
+        # coefficient j of the result is a_(m-j) * a_m^(j-1), with a_0 = 1
+        p = make_polynomial([1, *coeffs])
+        full, m, const = p.with_leading(), p.degree, p.constant_term
+        expected = tuple(full[m - j] * const ** (j - 1) for j in range(1, m + 1))
+        assert reversed_monic(p).coeffs == expected
 
 
 class TestCauchyBound:
