@@ -92,6 +92,8 @@ def run_bench(
     digits: int = 12,
     runs: int = 5,
 ) -> list[BenchRow]:
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     opts = DriverOptions(target_digits=digits)
     rows = []
     for case in cases:

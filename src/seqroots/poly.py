@@ -162,12 +162,7 @@ def compose_affine(desc: Sequence[int], alpha: int, beta: int, gamma: int) -> li
             power *= gamma
             a[i] *= power
     # pass i divides a[:i+1] by (x - beta) synthetically, remainder in a[i]
-    if beta == 1:
-        for i in range(n, 0, -1):
-            acc = a[0]
-            for j in range(1, i + 1):
-                acc = a[j] = a[j] + acc
-    elif beta:
+    if beta:
         for i in range(n, 0, -1):
             acc = a[0]
             for j in range(1, i + 1):

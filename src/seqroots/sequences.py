@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import index
 from typing import Optional, Sequence
 
@@ -77,24 +77,21 @@ class SequenceFamily:
             if not any(seed):
                 raise ZeroSeedError("seed vector is zero")
         matrix = iteration_matrix(poly, shift)
-        # the last m vectors, or every vector with ``keep_history``
-        stored = deque([seed], maxlen=None if keep_history else m)
+        # every vector with ``keep_history``, else the last m
+        stored = [seed] if keep_history else deque([seed], maxlen=m)
         vec = seed
         for _ in range(m - 1):
             vec = mat_vec(matrix, vec)
             stored.append(vec)
-        # under (0, 1) a step copies all components but the first, so the
-        # start vectors hold no component outside the seed and the last one
-        copies = shift.a == 0 and shift.b == 1
         self.poly = poly
         self.shift = shift
         self.matrix = matrix
         self.degree = m
         self.j = m - 1
         self.current = vec
-        components = seed + vec if copies else chain.from_iterable(stored)
-        self.peak_bits = max(map(int.bit_length, components))
-        self._copies = copies
+        self.peak_bits = max(map(int.bit_length, chain.from_iterable(stored)))
+        # under (0, 1) a step copies all components but the first
+        self._copies = shift.a == 0 and shift.b == 1
         self._stored = stored
 
     # -- state ------------------------------------------------------------
@@ -102,7 +99,8 @@ class SequenceFamily:
     @property
     def window(self) -> tuple[IntVector, ...]:
         """The last ``m`` vectors, the current one last."""
-        return tuple(self._stored)[-self.degree :]
+        stored = self._stored
+        return tuple(islice(stored, len(stored) - self.degree, None))
 
     def vector(self, j: int) -> IntVector:
         """State vector at step ``j`` (needs history, or ``j`` inside the window)."""
