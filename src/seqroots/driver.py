@@ -38,14 +38,17 @@ at its budget, like a tie, reports 0 certified digits.
 
 ``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``:
 the family of ``p`` under the shift (the identity for ``dominant_root``),
-stepped from the default seed by ``_iterate_family``.  Two cases prove
-their root before any step, and return it exactly with 0 iterations: a
+stepped from the default seed in its own loop, which renders, checks,
+tests for ties and hands over.  An extraction run has its own loop too, in
+``_extract_bracket``: it takes samples and tie checkpoints the same way
+and accepts on the certificate alone.  Two cases prove their root before
+any step, and return it exactly with 0 iterations: a
 nilpotent shifted matrix, ``p = (x-r)^m`` with ``a + b*r = 0``, whose
 root is ``-a/b`` (every seed would collapse to the zero vector), and
 degree 1, whose root is ``-a_1``.  Every root known exactly, there or in
 enumeration, is reported one way: converged, estimator ``exact``.
 
-The loop around the recurrence stays in the integers.  A sample is the
+The loops around the recurrence stay in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
 compare by cross-multiplying.  Between checkpoints the tie test only
 collects samples, each appended to its block; it finds each block's
@@ -93,7 +96,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from operator import index as _as_int
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import OutOfRangeError, ZeroDenominatorError
 from .poly import (
@@ -205,15 +208,8 @@ def _residual_ok(p: MonicIntPolynomial, r: Fraction, target_digits: int) -> bool
 #: A ratio sample ``n / d`` as the integer pair ``(n, d)`` with ``d > 0``.
 Sample = tuple[int, int]
 
-#: Maps a sample ``(n, d)`` to an accepted ``(value, estimator)``, or None.
-Acceptor = Callable[[int, int], Optional[tuple[Fraction, str]]]
-
 #: A spread ``num / den`` of ratio samples as ``(num, den)`` with ``den > 0``.
 Spread = tuple[int, int]
-
-#: Maps the last sample, the tie test's newer and older block spreads and
-#: the steps left to a finished estimate, or None to keep stepping.
-Finisher = Callable[[Sample, Spread, Spread, int], Optional[RootEstimate]]
 
 
 def _renders_equal(x: str, y: Optional[str]) -> bool:
@@ -326,17 +322,16 @@ def _successive_ok(family: SequenceFamily, value: Fraction, target_digits: int) 
     return True
 
 
-def _iterate_family(
-    p: MonicIntPolynomial,
-    shift: AffineShift,
-    opts: DriverOptions,
-    *,
-    budget: Optional[int] = None,
-    accept: Optional[Acceptor] = None,
-    finish: Optional[Finisher] = None,
+def _single_root(
+    p: MonicIntPolynomial, s: AffineShift, opts: DriverOptions, budget: Optional[int] = None
 ) -> RootEstimate:
-    """Drive the family of ``p`` under ``shift`` from the default seed until
-    convergence, tie, or budget end.
+    """The one run behind ``dominant_root`` and ``root_via_shift``, and a
+    repeated root's restart, which passes the ``budget`` left: the family
+    of ``p`` under ``s``, stepped from the default seed until convergence,
+    tie, handover or budget end.
+
+    A nilpotent ``a*I + b*C`` has trace ``m*a - b*a_1 = 0``: that O(1)
+    test gates the full check that ``shift_scale(p, s)`` is ``x^m``.
 
     The cross ratios approach a root of ``p``.  A value whose rendering has
     settled is accepted if its residual passes (``_residual_ok``) and the
@@ -356,18 +351,19 @@ def _iterate_family(
     ``Fraction`` is built only for a value that is checked, returned or
     reported as a tie.
 
-    With ``accept``, that rule is replaced: each sample the prefilter admits
-    goes to ``accept``, and the run converges on the first ``(value,
-    estimator)`` it returns.  Nothing is rendered, ``p`` is not evaluated
-    and ``RENDER_WINDOW`` does not apply.
-
-    With ``finish``, a run can end a third way, by handover.  At each tie
-    checkpoint that did not tie, the last sample, the two blocks' spreads
-    and the steps left go to ``finish``.  The first estimate it returns
-    ends the run with that estimate's status (the run on the square-free
-    part may tie), its steps and peak bits added to the run's own.
+    At each checkpoint that did not tie, the last sample, the two blocks'
+    spreads and the steps left go to ``_hand_over``, with the square-free
+    part of ``p``, built at the first such checkpoint.  The first estimate
+    it returns ends the run with that estimate's status (the run on the
+    square-free part may tie), its steps and peak bits added to the run's
+    own.
     """
-    family = SequenceFamily(p, shift=shift)
+    m, a_1 = p.degree, p.coeffs[0]
+    if m * s.a == s.b * a_1 and not any(shift_scale(p, s).coeffs):
+        return _exact_estimate(Fraction(-s.a, s.b), s, opts)
+    if m == 1:
+        return _exact_estimate(Fraction(-a_1), s, opts)
+    family = SequenceFamily(p, shift=s)
     vec = family.current
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     digits = opts.target_digits
@@ -381,6 +377,7 @@ def _iterate_family(
     collect = tie.block.append
     # samples until the next tie checkpoint
     due = tie.due
+    q: Optional[MonicIntPolynomial] = None
     # the last sample; the previous step's is pn/pd, with pd = 0 if it had none
     last: Optional[Sample] = None
     pn = pd = 0
@@ -395,18 +392,6 @@ def _iterate_family(
             if not pd or not _may_render_equal(pn, pd, n, d, scale):
                 run_length = 1
                 last_render = None
-            elif accept is not None:
-                accepted = accept(n, d)
-                if accepted is not None:
-                    return RootEstimate(
-                        accepted[0],
-                        digits,
-                        steps,
-                        RootStatus.CONVERGED,
-                        shift,
-                        accepted[1],
-                        family.peak_bits,
-                    )
             else:
                 if last_render is None:
                     last_render = decimal_string(pn, digits, pd)
@@ -420,7 +405,7 @@ def _iterate_family(
                             digits,
                             steps,
                             RootStatus.CONVERGED,
-                            shift,
+                            s,
                             ESTIMATOR_CROSS,
                             family.peak_bits,
                         )
@@ -443,23 +428,21 @@ def _iterate_family(
                         0,
                         steps,
                         RootStatus.TIE_DETECTED,
-                        shift,
+                        s,
                         ESTIMATOR_CROSS,
                         family.peak_bits,
                     )
                 due = tie.due
-                if finish is not None:
-                    finished = finish(last, *tie.spreads(), limit - steps)
-                    if finished is not None:
-                        return RootEstimate(
-                            finished.value,
-                            finished.decimal_digits,
-                            steps + finished.iterations,
-                            finished.status,
-                            shift,
-                            finished.estimator,
-                            max(family.peak_bits, finished.peak_bits),
-                        )
+                if q is None:
+                    q = _square_free(p)
+                est = _hand_over(p, q, s, opts, last, *tie.spreads(), limit - steps)
+                if est is not None:
+                    return replace(
+                        est,
+                        iterations=steps + est.iterations,
+                        shift_used=s,
+                        peak_bits=max(family.peak_bits, est.peak_bits),
+                    )
         if steps >= limit:
             # as in a tie, no digit of an unsettled sample is certified
             return RootEstimate(
@@ -467,34 +450,15 @@ def _iterate_family(
                 0,
                 steps,
                 RootStatus.MAX_ITERS_EXCEEDED,
-                shift,
+                s,
                 ESTIMATOR_CROSS,
                 family.peak_bits,
             )
         # No collapse exit: the default seed reaches the zero vector only
-        # under a nilpotent matrix, which ``_single_root`` screens out
-        # before any run (the repeated-root restart included), and an
-        # extraction run iterates a reversed polynomial, whose constant
-        # term K^(m-1) != 0 makes its matrix invertible.
+        # under a nilpotent matrix, screened out above (the repeated-root
+        # restart included).
         vec = family.step()
         steps += 1
-
-
-def _single_root(
-    p: MonicIntPolynomial, s: AffineShift, opts: DriverOptions, budget: Optional[int] = None
-) -> RootEstimate:
-    """The one run behind ``dominant_root`` and ``root_via_shift``, and a
-    repeated root's restart, which passes the ``budget`` left.
-
-    A nilpotent ``a*I + b*C`` has trace ``m*a - b*a_1 = 0``: that O(1)
-    test gates the full check that ``shift_scale(p, s)`` is ``x^m``.
-    """
-    m, a_1 = p.degree, p.coeffs[0]
-    if m * s.a == s.b * a_1 and not any(shift_scale(p, s).coeffs):
-        return _exact_estimate(Fraction(-s.a, s.b), s, opts)
-    if m == 1:
-        return _exact_estimate(Fraction(-a_1), s, opts)
-    return _iterate_family(p, s, opts, budget=budget, finish=_finisher(p, s, opts))
 
 
 def dominant_root(
@@ -748,15 +712,19 @@ def _extract_bracket(
     ``(u + K*d/n) / v`` exactly.  Acceptance is the certificate alone: each
     sample ``_may_render_equal`` admits is mapped back, and one inside the
     bracket is kept once its nearest integer is a root of ``q`` (``exact``)
-    or ``_certified`` holds; nothing is rendered, and ``RENDER_WINDOW``
-    does not apply.  When a run stops without one (budget, or a tie with a
-    complex pair nearer c), the bracket tightens and the run repeats.
-    Should the bracket pin the root down before any run does, its centre is
-    reported as a bisection estimate, so every call returns a root.  Every
-    return reports the steps and the peak bits of all its runs.
+    or ``_certified`` holds; nothing is rendered, ``p`` is not evaluated
+    and ``RENDER_WINDOW`` does not apply.  A run takes its samples and tie
+    checkpoints as ``_single_root`` does, within a budget of
+    ``EXTRACT_STEPS_PER_DIGIT`` steps a digit plus two tie blocks.  When a
+    run stops without a value (budget, or a tie with a complex pair nearer
+    c), the bracket tightens and the run repeats.  Should the bracket pin
+    the root down before any run does, its centre is reported as a
+    bisection estimate, so every call returns a root.  Every return reports
+    the steps and the peak bits of all its runs.
     """
     digits = opts.target_digits
-    budget = EXTRACT_STEPS_PER_DIGIT * digits + 2 * TIE_SPAN
+    scale = 10 ** (digits - 1)
+    limit = min(EXTRACT_STEPS_PER_DIGIT * digits + 2 * TIE_SPAN, opts.max_iters)
     spent = 0
     peak = 0
     while True:
@@ -776,73 +744,92 @@ def _extract_bracket(
         # of the recentred polynomial by 2^j
         u, v = _lowest_terms(lo + hi, k + 1)
         recentred = shift_scale(q, AffineShift(-u, v))
-        if recentred.constant_term == 0:
+        K = recentred.constant_term
+        if K == 0:
             return _exact_estimate(Fraction(u, v), IDENTITY_SHIFT, opts, spent, peak)
-        reversed_poly = reversed_monic(recentred)
-        scale = recentred.constant_term
-
-        def accept(n: int, d: int) -> Optional[tuple[Fraction, str]]:
-            # the root (u + scale*d/n) / v as num/den, den > 0 (n = 0 maps
-            # to no root: den = 0 fails the bracket test)
-            num, den = u * n + scale * d, v * n
-            if den < 0:
-                num, den = -num, -den
-            if not lo * den < num << k < hi * den:
-                return None
-            # round half to even, as round() does
-            nearest, rest = divmod(2 * num + den, 2 * den)
-            if rest == 0 and nearest & 1:
-                nearest -= 1
-            if lo < nearest << k < hi and eval_homogeneous(q, nearest, 1) == 0:
-                return Fraction(nearest), ESTIMATOR_EXACT
-            if _certified(q, num, den, lo, hi, k, s_lo, digits):
-                return Fraction(num, den), ESTIMATOR_CROSS
-            return None
-
-        est = _iterate_family(
-            reversed_poly, IDENTITY_SHIFT, opts, budget=budget, accept=accept
+        # no collapse exit: the reversed polynomial's constant term
+        # K^(m-1) != 0 makes its matrix invertible
+        family = SequenceFamily(reversed_monic(recentred))
+        vec = family.current
+        tie = _TieWindow()
+        collect = tie.block.append
+        due = tie.due
+        steps = pn = pd = 0
+        # None until the round keeps a value
+        estimator: Optional[str] = None
+        while True:
+            n, d = vec[0], vec[1]
+            if not d:
+                pd = 0
+            else:
+                if d < 0:
+                    n, d = -n, -d
+                if pd and _may_render_equal(pn, pd, n, d, scale):
+                    # the root (u + K*d/n) / v as num/den, den > 0 (n = 0 maps
+                    # to no root: den = 0 fails the bracket test)
+                    num, den = u * n + K * d, v * n
+                    if den < 0:
+                        num, den = -num, -den
+                    if lo * den < num << k < hi * den:
+                        # round half to even, as round() does
+                        nearest, rest = divmod(2 * num + den, 2 * den)
+                        if rest == 0 and nearest & 1:
+                            nearest -= 1
+                        if lo < nearest << k < hi and eval_homogeneous(q, nearest, 1) == 0:
+                            value, estimator = Fraction(nearest), ESTIMATOR_EXACT
+                            break
+                        if _certified(q, num, den, lo, hi, k, s_lo, digits):
+                            value, estimator = Fraction(num, den), ESTIMATOR_CROSS
+                            break
+                pn, pd = n, d
+                collect((n, d))
+                due -= 1
+                if not due:
+                    if tie.decide():
+                        break
+                    due = tie.due
+            if steps >= limit:
+                break
+            vec = family.step()
+            steps += 1
+        spent += steps
+        peak = max(peak, family.peak_bits)
+        if estimator is None:
+            if not _certified(q, lo + hi, 1 << (k + 1), lo, hi, k, s_lo, digits):
+                continue
+            value, estimator = Fraction(lo + hi, 1 << (k + 1)), ESTIMATOR_BISECTION
+        if estimator == ESTIMATOR_EXACT:
+            return _exact_estimate(value, IDENTITY_SHIFT, opts, spent, peak)
+        return RootEstimate(
+            value, digits, spent, RootStatus.CONVERGED, IDENTITY_SHIFT, estimator, peak
         )
-        spent += est.iterations
-        peak = max(peak, est.peak_bits)
-        if est.converged:
-            if est.estimator == ESTIMATOR_EXACT:
-                return _exact_estimate(est.value, IDENTITY_SHIFT, opts, spent, peak)
-            return RootEstimate(
-                est.value,
-                digits,
-                spent,
-                RootStatus.CONVERGED,
-                IDENTITY_SHIFT,
-                ESTIMATOR_CROSS,
-                peak,
-            )
-        if _certified(q, lo + hi, 1 << (k + 1), lo, hi, k, s_lo, digits):
-            return RootEstimate(
-                Fraction(lo + hi, 1 << (k + 1)),
-                digits,
-                spent,
-                RootStatus.CONVERGED,
-                IDENTITY_SHIFT,
-                ESTIMATOR_BISECTION,
-                peak,
-            )
 
 
-def _finisher(
-    p: MonicIntPolynomial, shift: AffineShift, opts: DriverOptions
-) -> Finisher:
+def _hand_over(
+    p: MonicIntPolynomial,
+    q: MonicIntPolynomial,
+    shift: AffineShift,
+    opts: DriverOptions,
+    sample: Sample,
+    newer: Spread,
+    older: Spread,
+    left: int,
+) -> Optional[RootEstimate]:
     """Hand a slow ``dominant_root`` or ``root_via_shift`` run over to
-    ``_extract_bracket``, which finishes it super-linearly and certifies it.
+    ``_extract_bracket``, which finishes it super-linearly and certifies it;
+    None keeps the run stepping.  ``q`` is the square-free part of ``p``,
+    ``sample`` the run's last sample, ``newer`` and ``older`` its last two
+    blocks' spreads and ``left`` its steps left.
 
-    When the square-free part ``q`` of ``p``, built on first use, has a
-    lower degree, ``p`` has a repeated root: a run whose dominant root is
-    repeated converges like ``1/k``, so no bracket below would hold its
-    root.  The run is handed to ``_single_root(q, shift)`` instead, with
-    the steps left.  ``q`` has the same distinct roots, each simple, so the
-    same root dominates, or the same tie shows.  A restart that runs out of
-    steps reports whichever of its last sample and the handed-over one has
-    the smaller exact ``|q(x)|`` (to first order the one nearer the root):
-    with few steps left its first samples are worse than the run's own.
+    When ``q`` has a lower degree, ``p`` has a repeated root: a run whose
+    dominant root is repeated converges like ``1/k``, so no bracket below
+    would hold its root.  The run is handed to ``_single_root(q, shift)``
+    instead, with the steps left.  ``q`` has the same distinct roots, each
+    simple, so the same root dominates, or the same tie shows.  A restart
+    that runs out of steps reports whichever of its last sample and the
+    handed-over one has the smaller exact ``|q(x)|`` (to first order the
+    one nearer the root): with few steps left its first samples are worse
+    than the run's own.
 
     Otherwise the bracket is centred on the last sample ``c = n/d``.  With
     ``s`` the newer block's spread and ``theta = s / s_old`` the contraction
@@ -858,54 +845,43 @@ def _finisher(
     holds no root or an even number of them, grows fourfold, at most
     ``BRACKET_GROWTHS`` times, without a Descartes transform.  The first
     bracket whose end signs differ is handed over if Descartes' rule (as in
-    ``_isolate``) counts exactly one root in it.  Otherwise the run keeps
-    stepping.
+    ``_isolate``) counts exactly one root in it.
     """
-    q: Optional[MonicIntPolynomial] = None
-
-    def finish(
-        sample: Sample, newer: Spread, older: Spread, left: int
-    ) -> Optional[RootEstimate]:
-        nonlocal q
-        if q is None:
-            q = _square_free(p)
-        n, d = sample
-        if q.degree < p.degree:
-            est = _single_root(q, shift, opts, left)
-            if est.status is not RootStatus.MAX_ITERS_EXCEEDED:
-                return est
-            # |q(n/d)| < |q(u/v)|, multiplied out by d^m * v^m
-            u, v = est.value.numerator, est.value.denominator
-            m = q.degree
-            if abs(eval_homogeneous(q, n, d)) * v**m >= abs(eval_homogeneous(q, u, v)) * d**m:
-                return est
-            return replace(est, value=Fraction(n, d))
-        a, b = newer
-        c, e = older
-        if a == 0:
-            # a constant newer block: no contraction to extrapolate
-            return None
-        # half-width num/den; den > 0, as the blocks did not tie (a/b < c/e)
-        num, den = 2 * a * a * e, b * (b * c - a * e)
-        if num * d > abs(n) * den:
-            return None
-        w = d * den
-        for _ in range(BRACKET_GROWTHS + 1):
-            k = max(0, den.bit_length() - num.bit_length() + 2)
-            lo = ((n * den - num * d) << k) // w
-            hi = -((-(n * den + num * d) << k) // w)
-            s_lo = _sign(eval_homogeneous(q, lo, 1 << k))
-            s_hi = _sign(eval_homogeneous(q, hi, 1 << k))
-            if not s_lo or not s_hi:
-                return None
-            if s_lo != s_hi:
-                if _roots_in_unit_interval(_on_unit_interval(q, lo, hi, k)) == 1:
-                    return _extract_bracket(q, lo, hi, k, s_lo, opts)
-                return None
-            num *= 4
+    n, d = sample
+    if q.degree < p.degree:
+        est = _single_root(q, shift, opts, left)
+        if est.status is not RootStatus.MAX_ITERS_EXCEEDED:
+            return est
+        # |q(n/d)| < |q(u/v)|, multiplied out by d^m * v^m
+        u, v = est.value.numerator, est.value.denominator
+        m = q.degree
+        if abs(eval_homogeneous(q, n, d)) * v**m >= abs(eval_homogeneous(q, u, v)) * d**m:
+            return est
+        return replace(est, value=Fraction(n, d))
+    a, b = newer
+    c, e = older
+    if a == 0:
+        # a constant newer block: no contraction to extrapolate
         return None
-
-    return finish
+    # half-width num/den; den > 0, as the blocks did not tie (a/b < c/e)
+    num, den = 2 * a * a * e, b * (b * c - a * e)
+    if num * d > abs(n) * den:
+        return None
+    w = d * den
+    for _ in range(BRACKET_GROWTHS + 1):
+        k = max(0, den.bit_length() - num.bit_length() + 2)
+        lo = ((n * den - num * d) << k) // w
+        hi = -((-(n * den + num * d) << k) // w)
+        s_lo = _sign(eval_homogeneous(q, lo, 1 << k))
+        s_hi = _sign(eval_homogeneous(q, hi, 1 << k))
+        if not s_lo or not s_hi:
+            return None
+        if s_lo != s_hi:
+            if _roots_in_unit_interval(_on_unit_interval(q, lo, hi, k)) == 1:
+                return _extract_bracket(q, lo, hi, k, s_lo, opts)
+            return None
+        num *= 4
+    return None
 
 
 def enumerate_real_roots(

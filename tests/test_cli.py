@@ -104,9 +104,10 @@ class TestRootCommand:
         assert code == EXIT_TIE
         assert "tie-detected" in out
 
-    def test_rejected_cross_check_ties_without_an_error(self, capsys):
-        # (x+1)^2 (x^2+2x+2) under 3 + 3x: the cross ratio settles on the
-        # double root -1, whose image 0 the step ratio contradicts
+    def test_zero_denominator_steps_tie_without_an_error(self, capsys):
+        # (x+1)^2 (x^2+2x+2) under 3 + 3x: the cross ratio is exactly -1 on
+        # every other step and undefined in between, so no two samples are
+        # consecutive and the run ties at its first checkpoint
         code, out, err = run_cli(capsys, "root", "--poly", "1,4,7,6,2", "--shift", "3,3")
         assert (code, err) == (EXIT_TIE, "")
         assert "tie-detected" in out

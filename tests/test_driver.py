@@ -30,7 +30,6 @@ from seqroots.driver import (
     _certified,
     _extract_bracket as extract_bracket,
     _isolate,
-    _iterate_family as iterate_family,
     _lowest_terms,
     _may_render_equal,
     _on_unit_interval as on_unit_interval,
@@ -143,10 +142,11 @@ class TestRootViaShift:
 
 
 class TestZeroDenominatorSteps:
-    """A step whose second component is 0 has no ratio.  It breaks a run of
-    equal renderings, and a value the step-ratio cross-check contradicts is
-    rejected, not raised: each run below ties, as its largest image is a
-    complex pair."""
+    """A step whose second component is 0 has no ratio, so it breaks every
+    run of equal renderings.  In each run below every other step has none:
+    no two samples are consecutive, so nothing is rendered and neither
+    acceptance check is called.  The samples are constant, and each run
+    ties, not raises, at its first checkpoint, the fortieth sample."""
 
     @pytest.mark.parametrize(
         "coeffs, shift",
@@ -156,8 +156,8 @@ class TestZeroDenominatorSteps:
             ([1, 0, 1, 0], None),
             ([1, 0, 1, 0], (0, 2)),
             # (x+1)^2 (x^2+2x+2) under 3 + 3x, and (x+2)^2 (x^2+4x+8) under
-            # 2 + x: the cross ratio settles on the double root, whose image
-            # is 0, while the step ratio follows the complex pair
+            # 2 + x: the cross ratio is exactly the double root on every
+            # other step and undefined in between
             ([1, 4, 7, 6, 2], (3, 3)),
             ([1, 8, 28, 48, 32], (2, 1)),
         ],
@@ -233,6 +233,20 @@ class TestEnumerateRealRoots:
         assert [e.estimator for e in roots] == ["cross-ratio", "cross-ratio"]
         assert abs(float(roots[0].value) - (-1 - SQRT2)) < 1e-10
         assert abs(float(roots[1].value) - (-1 + SQRT2)) < 1e-10
+
+    def test_bracket_centre_is_reported_when_no_sample_is_admitted(self, monkeypatch):
+        # with the render prefilter admitting no sample, no run keeps a
+        # value: each bracket of x^2-2 is bisected until its centre is
+        # certified, after nine runs of 4 * 12 + 2 * TIE_SPAN = 88 steps
+        monkeypatch.setattr(driver, "_may_render_equal", lambda *args: False)
+        q = make_polynomial([1, 0, -2])
+        intervals = _isolate(q)[1]
+        assert len(intervals) == 2
+        for bracket in intervals:
+            est = extract_bracket(q, *bracket, DriverOptions())
+            assert (est.status, est.estimator, est.iterations) == (
+                RootStatus.CONVERGED, "bisection", 792)
+            assert _certified_by_signs(q, est.value, 12)
 
     def test_mixed_real_and_complex(self):
         # (x-2)(x^2+x+1): one real root among a complex pair
@@ -628,6 +642,25 @@ class TestIntegerAcceptanceChecks:
         beyond = on_edge + Fraction(1, 10**30)
         assert not driver._successive_ok(family, beyond, 12)
         assert not _successive_ok_fraction(family, beyond, 12)
+
+
+    def test_a_rejected_rendering_is_checked_once(self, monkeypatch):
+        # every settled value of x^2+2x-1 fails the residual here: the first
+        # is checked once and remembered, and the run is handed over at its
+        # first tie checkpoint
+        checked = []
+
+        def reject(p, value, digits):
+            checked.append(value)
+            return False
+
+        monkeypatch.setattr(driver, "_residual_ok", reject)
+        with handovers() as calls:
+            est = dominant_root(QUADRATIC)
+        assert len(checked) == 1
+        assert len(calls) == 1
+        assert (est.status, est.iterations, est.decimal()) == (
+            RootStatus.CONVERGED, 40, "-2.41421356237")
 
 
 class TestRenderingComparison:
@@ -1166,18 +1199,20 @@ class TestEstimateFields:
         # x^20 - 2(1000x - 1)^2: the root near -2.239 takes four extraction
         # runs, and the failed ones reach wider integers than the last
         q = make_polynomial([1] + [0] * 17 + [-2_000_000, 4000, -2])
-        peaks = []
+        families = []
 
         def spy(*args, **kwargs):
-            est = iterate_family(*args, **kwargs)
-            peaks.append(est.peak_bits)
-            return est
+            family = SequenceFamily(*args, **kwargs)
+            families.append(family)
+            return family
 
         found = []
         for bracket in _isolate(q)[1]:
-            peaks.clear()
-            with mock.patch.object(driver, "_iterate_family", spy):
+            families.clear()
+            with mock.patch.object(driver, "SequenceFamily", spy):
                 est = extract_bracket(q, *bracket, DriverOptions())
+            # one family a run, each read after its run has ended
+            peaks = [family.peak_bits for family in families]
             assert est.peak_bits == max(peaks)
             found.append((est.value, est.decimal(), peaks[-1], len(peaks), est.peak_bits))
         assert min(found)[1:] == ("-2.23912721205", 1835, 4, 30569)
