@@ -31,15 +31,21 @@ super-linearly, and its value is certified.  A repeated
 dominant root converges like ``1/k``, so no bracket holds it: a
 polynomial with a repeated root instead starts over on its square-free
 part at the first handover point, under the same shift, and a tie found
-there ends the run as a tie.  If the second run's steps run out, it
-reports whichever of its last sample and the handed-over one has the
-smaller exact ``|q(x)|`` on the square-free part ``q``.  A run that ends
+there ends the run as a tie.  A call screens for repeated roots once: the
+restart is handed its square-free part.  If the second run's steps run
+out, it reports whichever of its last sample and the handed-over one has
+the smaller exact ``|q(x)|`` on the square-free part ``q``.  A run that ends
 at its budget, like a tie, reports 0 certified digits.
 
-``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``:
-the family of ``p`` under the shift (the identity for ``dominant_root``),
-stepped from the default seed in its own loop, which renders, checks,
-tests for ties and hands over.  An extraction run has its own loop too, in
+``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``,
+whose loop renders, checks, tests for ties and hands over.  Its samples
+are the first two components ``(x_j, y_j)`` of ``(a*I + b*C)^j e_1``.
+``dominant_root`` steps the family of ``p``, where ``y_j`` is ``x_(j-1)``.
+A shifted run makes the ``m - 1`` start products of ``a*I + b*C``, then
+steps the scalar recurrence of ``shift_scale(p, s)``, which the ``x_j``
+obey by Cayley-Hamilton, and carries ``y_(j+1) = a*y_j + b*x_j``: ``m + 2``
+products a step instead of the ``3m - 2`` of the whole vector, on the same
+integers.  An extraction run has its own loop too, in
 ``_extract_bracket``: it takes samples and tie checkpoints the same way
 and accepts on the certificate alone.  Two cases prove their root before
 any step, and return it exactly with 0 iterations: a
@@ -95,9 +101,11 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from operator import index as _as_int
 from typing import Optional
 
+from .companion import iteration_matrix, mat_vec
 from .errors import OutOfRangeError, ZeroDenominatorError
 from .poly import (
     IDENTITY_SHIFT,
@@ -112,7 +120,7 @@ from .poly import (
     shift_scale,
 )
 from .render import EXACT_AGREEMENT, decimal_string
-from .sequences import SequenceFamily
+from .sequences import SequenceFamily, default_seed
 
 ESTIMATOR_CROSS = "cross-ratio"
 ESTIMATOR_EXACT = "exact"
@@ -168,7 +176,16 @@ DEFAULT_OPTIONS = DriverOptions()
 
 @dataclass(frozen=True)
 class RootEstimate:
-    """One root estimate: exact rational value plus how it was obtained."""
+    """One root estimate: exact rational value plus how it was obtained.
+
+    ``peak_bits`` is the bit length of the widest integer the call's runs
+    computed.  For an unshifted run that is every component of its vectors.
+    A shifted run of ``root_via_shift`` computes its ``m`` start vectors
+    whole, then only the first component ``x_j``, from the recurrence of
+    ``shift_scale(p, s)``, and the carried second one ``y_j``; the other
+    components of its later vectors are never formed and do not count.  A
+    handover adds the peak of its extraction runs.
+    """
 
     value: Fraction
     decimal_digits: int
@@ -300,15 +317,19 @@ def _exact_estimate(
     )
 
 
-def _successive_ok(family: SequenceFamily, value: Fraction, target_digits: int) -> bool:
-    """Cross-check: the step-over-step ratio of the first component that has
-    one sits within ``10^-t`` of ``a + b * value``, ``t = target_digits - 2``
-    (at least 0).  With no such ratio there is nothing to contradict.
+def _successive_ok(
+    family: SequenceFamily, shift: AffineShift, value: Fraction, target_digits: int
+) -> bool:
+    """Cross-check: the step-over-step ratio of the first component of
+    ``family`` that has one sits within ``10^-t`` of ``a + b * value`` for
+    ``shift = (a, b)``, ``t = target_digits - 2`` (at least 0).  With no
+    such ratio there is nothing to contradict.  ``shift`` is the run's: a
+    shifted run steps the family of ``shift_scale(p, shift)``, whose own
+    shift is the identity.
 
     With ``value = u/v`` and the ratio ``n/e`` (``v, e > 0``) this is the
     integer inequality ``|n*v - e*(a*v + b*u)| * 10^t <= e*v``.
     """
-    shift = family.shift
     t = max(0, target_digits - 2)
     u, v = value.numerator, value.denominator
     expected = shift.a * v + shift.b * u
@@ -323,15 +344,31 @@ def _successive_ok(family: SequenceFamily, value: Fraction, target_digits: int) 
 
 
 def _single_root(
-    p: MonicIntPolynomial, s: AffineShift, opts: DriverOptions, budget: Optional[int] = None
+    p: MonicIntPolynomial,
+    s: AffineShift,
+    opts: DriverOptions,
+    budget: Optional[int] = None,
+    q: Optional[MonicIntPolynomial] = None,
 ) -> RootEstimate:
     """The one run behind ``dominant_root`` and ``root_via_shift``, and a
-    repeated root's restart, which passes the ``budget`` left: the family
-    of ``p`` under ``s``, stepped from the default seed until convergence,
-    tie, handover or budget end.
+    repeated root's restart, which passes the ``budget`` left and its own
+    ``p`` as the square-free part ``q``: the vectors ``S_j`` of ``p`` under
+    ``s`` from the default seed, stepped until convergence, tie, handover
+    or budget end.
 
-    A nilpotent ``a*I + b*C`` has trace ``m*a - b*a_1 = 0``: that O(1)
-    test gates the full check that ``shift_scale(p, s)`` is ``x^m``.
+    ``a*I + b*C`` is nilpotent when its characteristic polynomial
+    ``shift_scale(p, s)`` is ``x^m``.
+
+    A sample reads only the first two components ``(x_j, y_j)`` of
+    ``S_j``.  Under the identity shift the run steps the family of ``p``,
+    whose ``y_j`` is ``x_(j-1)``.  Under any other shift the run makes the
+    ``m - 1`` start products of ``a*I + b*C`` itself.  By Cayley-Hamilton
+    the ``x_j`` obey the scalar recurrence of ``shift_scale(p, s)``, so the
+    run steps that polynomial's family under the identity shift, started
+    from ``(x_(m-1), ..., x_0)``, and carries ``y_(j+1) = a*y_j + b*x_j``:
+    ``m + 2`` products a step instead of ``3m - 2``, on the same integers.
+    Its ``peak_bits`` is the widest of the start vectors, the ``x_j`` and
+    the ``y_j``.
 
     The cross ratios approach a root of ``p``.  A value whose rendering has
     settled is accepted if its residual passes (``_residual_ok``) and the
@@ -353,17 +390,31 @@ def _single_root(
 
     At each checkpoint that did not tie, the last sample, the two blocks'
     spreads and the steps left go to ``_hand_over``, with the square-free
-    part of ``p``, built at the first such checkpoint.  The first estimate
-    it returns ends the run with that estimate's status (the run on the
-    square-free part may tie), its steps and peak bits added to the run's
-    own.
+    part ``q`` of ``p``, built at the first such checkpoint unless given.
+    The first estimate it returns ends the run with that estimate's status
+    (the run on the square-free part may tie), its steps and peak bits
+    added to the run's own.
     """
-    m, a_1 = p.degree, p.coeffs[0]
-    if m * s.a == s.b * a_1 and not any(shift_scale(p, s).coeffs):
-        return _exact_estimate(Fraction(-s.a, s.b), s, opts)
+    m, a, b = p.degree, s.a, s.b
+    shifted = a != 0 or b != 1
+    image = shift_scale(p, s) if shifted else p
+    if not any(image.coeffs):
+        return _exact_estimate(Fraction(-a, b), s, opts)
     if m == 1:
-        return _exact_estimate(Fraction(-a_1), s, opts)
-    family = SequenceFamily(p, shift=s)
+        return _exact_estimate(Fraction(-p.coeffs[0]), s, opts)
+    if shifted:
+        matrix = iteration_matrix(p, s)
+        start = [default_seed(m)]
+        for _ in range(m - 1):
+            start.append(mat_vec(matrix, start[-1]))
+        # the widest integer of the start vectors, then of every y
+        peak = max(map(int.bit_length, chain.from_iterable(start)))
+        family = SequenceFamily(image, _start=tuple(v[0] for v in reversed(start)))
+        y = start[-1][1]
+    else:
+        family = SequenceFamily(p)
+        peak = 0
+        y = family.current[1]
     vec = family.current
     limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
     digits = opts.target_digits
@@ -377,13 +428,12 @@ def _single_root(
     collect = tie.block.append
     # samples until the next tie checkpoint
     due = tie.due
-    q: Optional[MonicIntPolynomial] = None
     # the last sample; the previous step's is pn/pd, with pd = 0 if it had none
     last: Optional[Sample] = None
     pn = pd = 0
 
     while True:
-        n, d = vec[0], vec[1]
+        n, d = vec[0], y
         if not d:
             pd = 0
         else:
@@ -399,7 +449,13 @@ def _single_root(
                 run_length = run_length + 1 if _renders_equal(rendering, last_render) else 1
                 if run_length >= RENDER_WINDOW and not _renders_equal(rendering, rejected_render):
                     value = Fraction(n, d)
-                    if _residual_ok(p, value, digits) and _successive_ok(family, value, digits):
+                    # pn = 0 (a shifted run's x_(j-1) = 0): the settled value
+                    # is 0, and the whole vector's step ratio is
+                    # y_j / y_(j-1) = a = a + b*0 exactly.  The family holds
+                    # no y, and its ratios would skip to older x.
+                    if _residual_ok(p, value, digits) and (
+                        not pn or _successive_ok(family, s, value, digits)
+                    ):
                         return RootEstimate(
                             value,
                             digits,
@@ -407,7 +463,7 @@ def _single_root(
                             RootStatus.CONVERGED,
                             s,
                             ESTIMATOR_CROSS,
-                            family.peak_bits,
+                            max(peak, family.peak_bits),
                         )
                     # A settled rendering that fails a check: remember it so
                     # it is not re-checked every step, and keep going until
@@ -430,7 +486,7 @@ def _single_root(
                         RootStatus.TIE_DETECTED,
                         s,
                         ESTIMATOR_CROSS,
-                        family.peak_bits,
+                        max(peak, family.peak_bits),
                     )
                 due = tie.due
                 if q is None:
@@ -441,7 +497,7 @@ def _single_root(
                         est,
                         iterations=steps + est.iterations,
                         shift_used=s,
-                        peak_bits=max(family.peak_bits, est.peak_bits),
+                        peak_bits=max(peak, family.peak_bits, est.peak_bits),
                     )
         if steps >= limit:
             # as in a tie, no digit of an unsettled sample is certified
@@ -452,13 +508,21 @@ def _single_root(
                 RootStatus.MAX_ITERS_EXCEEDED,
                 s,
                 ESTIMATOR_CROSS,
-                family.peak_bits,
+                max(peak, family.peak_bits),
             )
         # No collapse exit: the default seed reaches the zero vector only
         # under a nilpotent matrix, screened out above (the repeated-root
         # restart included).
+        x = vec[0]
         vec = family.step()
         steps += 1
+        if shifted:
+            y = a * y + b * x
+            bits = y.bit_length()
+            if bits > peak:
+                peak = bits
+        else:
+            y = x
 
 
 def dominant_root(
@@ -824,7 +888,8 @@ def _hand_over(
     When ``q`` has a lower degree, ``p`` has a repeated root: a run whose
     dominant root is repeated converges like ``1/k``, so no bracket below
     would hold its root.  The run is handed to ``_single_root(q, shift)``
-    instead, with the steps left.  ``q`` has the same distinct roots, each
+    instead, with the steps left and ``q`` as its own square-free part, so
+    that it is not screened again.  ``q`` has the same distinct roots, each
     simple, so the same root dominates, or the same tie shows.  A restart
     that runs out of steps reports whichever of its last sample and the
     handed-over one has the smaller exact ``|q(x)|`` (to first order the
@@ -849,7 +914,7 @@ def _hand_over(
     """
     n, d = sample
     if q.degree < p.degree:
-        est = _single_root(q, shift, opts, left)
+        est = _single_root(q, shift, opts, left, q)
         if est.status is not RootStatus.MAX_ITERS_EXCEEDED:
             return est
         # |q(n/d)| < |q(u/v)|, multiplied out by d^m * v^m

@@ -21,6 +21,15 @@ the ratio of adjacent components at a fixed step tends to the root whose
 image ``a + b*r`` dominates in absolute value, and the step-over-step
 ratio within one sequence tends to that dominant image itself.  A family
 stores ``M^j S_0`` exactly.
+
+Under a shift a step costs ``3m - 2`` products, yet the first component
+of ``M^j S_0`` alone obeys the scalar recurrence of ``shift_scale(p,
+shift)`` (Cayley-Hamilton).  So a shifted run of ``driver._single_root``
+makes the ``m - 1`` start products of ``M`` itself, then steps the family
+of ``shift_scale(p, shift)`` under the identity shift, started through the
+private ``_start`` from those first components, and carries the second
+component beside it.  The public family, and ``seqroots sequences
+--shift``, still step ``M`` whole.
 """
 
 from __future__ import annotations
@@ -54,6 +63,11 @@ class SequenceFamily:
     ``self.matrix = iteration_matrix(poly, shift)``; its cross ratios
     approach a root of ``poly``.  ``current`` is the vector at step ``j``.
     Seed components must be integers (``TypeError`` otherwise).
+
+    The private ``_start`` is the vector at step ``m - 1``, made by the
+    caller: the family makes no start products, stores no earlier step and
+    takes ``peak_bits`` from that vector alone.  A shifted run of
+    ``driver._single_root`` starts its first-component family this way.
     """
 
     __slots__ = ("poly", "shift", "matrix", "degree", "j", "current", "peak_bits",
@@ -66,9 +80,14 @@ class SequenceFamily:
         *,
         shift: AffineShift = IDENTITY_SHIFT,
         keep_history: bool = False,
+        _start: Optional[IntVector] = None,
     ) -> None:
         m = poly.degree
-        if seed is None:
+        products = m - 1
+        if _start is not None:
+            # the vector at step m - 1, already made by the caller
+            seed, products = _start, 0
+        elif seed is None:
             seed = default_seed(m)
         else:
             seed = tuple(map(index, seed))
@@ -80,7 +99,7 @@ class SequenceFamily:
         # every vector with ``keep_history``, else the last m
         stored = [seed] if keep_history else deque([seed], maxlen=m)
         vec = seed
-        for _ in range(m - 1):
+        for _ in range(products):
             vec = mat_vec(matrix, vec)
             stored.append(vec)
         self.poly = poly
@@ -98,9 +117,10 @@ class SequenceFamily:
 
     @property
     def window(self) -> tuple[IntVector, ...]:
-        """The last ``m`` vectors, the current one last."""
+        """The last ``m`` vectors, the current one last (fewer for a family
+        started from ``_start`` that has made fewer than ``m - 1`` steps)."""
         stored = self._stored
-        return tuple(islice(stored, len(stored) - self.degree, None))
+        return tuple(islice(stored, max(0, len(stored) - self.degree), None))
 
     def vector(self, j: int) -> IntVector:
         """State vector at step ``j`` (needs history, or ``j`` inside the window)."""

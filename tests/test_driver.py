@@ -1,6 +1,8 @@
 """Root driver: convergence, ties, shifts, enumeration, verification."""
 
+import inspect
 import math
+import sys
 import time
 from contextlib import contextmanager
 from decimal import Decimal
@@ -627,21 +629,38 @@ class TestIntegerAcceptanceChecks:
             except (ZeroDenominatorError, OutOfRangeError):
                 continue
         value = Fraction(0) if got is None else (got + offset * tol - s.a) / s.b
-        assert driver._successive_ok(family, value, digits) is (
+        assert driver._successive_ok(family, s, value, digits) is (
             _successive_ok_fraction(family, value, digits)
         )
 
     def test_successive_decides_both_ways_at_the_edge(self):
-        family = SequenceFamily(QUADRATIC, shift=AffineShift(2, 1))
+        s = AffineShift(2, 1)
+        family = SequenceFamily(QUADRATIC, shift=s)
         family.run_to(12)
         got = family.successive_ratio(1)
         tol = Fraction(1, 10**10)
         on_edge = got + tol - 2
-        assert driver._successive_ok(family, on_edge, 12)
+        assert driver._successive_ok(family, s, on_edge, 12)
         assert _successive_ok_fraction(family, on_edge, 12)
         beyond = on_edge + Fraction(1, 10**30)
-        assert not driver._successive_ok(family, beyond, 12)
+        assert not driver._successive_ok(family, s, beyond, 12)
         assert not _successive_ok_fraction(family, beyond, 12)
+
+    def test_a_zero_first_component_leaves_nothing_to_contradict(self):
+        # x (x^4 - 3x^3 + 3x^2 - x + 2) under -2 + 2x: x_j is 0 at steps 5,
+        # 6 and 7 and y_j is not, so three samples settle on the root 0.  The
+        # step ratio after x_6 = 0 is y_7 / y_6 = a = -2 exactly, which 0
+        # agrees with; the family of shift_scale(p, s) would offer x_5 / x_4
+        # = 0 / 1024 instead, and the run would go on to a tie at step 43.
+        p = make_polynomial([1, -3, 3, -1, 2, 0])
+        s = AffineShift(-2, 2)
+        family = SequenceFamily(p, shift=s)
+        family.run_to(11)
+        assert family.current[:2] == (0, 8192) and family.vector(10)[:2] == (0, -4096)
+        assert family.successive_ratio(2) == s.a
+        est = root_via_shift(p, s)
+        assert (est.value, est.status, est.iterations, est.estimator) == (
+            0, RootStatus.CONVERGED, 7, "cross-ratio")
 
 
     def test_a_rejected_rendering_is_checked_once(self, monkeypatch):
@@ -661,6 +680,68 @@ class TestIntegerAcceptanceChecks:
         assert len(calls) == 1
         assert (est.status, est.iterations, est.decimal()) == (
             RootStatus.CONVERGED, 40, "-2.41421356237")
+
+
+def _run_pairs(p, s, opts):
+    """``root_via_shift(p, s, opts)`` and the pair ``(x_j, y_j)`` its run
+    reads at each step: the locals ``vec[0]`` and ``y`` of
+    ``_single_root`` on the line where it takes its sample, read by a line
+    tracer on the outermost call's frame."""
+    code = driver._single_root.__code__
+    lines, first = inspect.getsourcelines(driver._single_root)
+    target = first + next(i for i, line in enumerate(lines) if "n, d = vec[0], y" in line)
+    pairs = []
+    frames = []
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == target and frame is frames[0]:
+            pairs.append((frame.f_locals["vec"][0], frame.f_locals["y"]))
+        return on_line
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frames.append(frame)
+        return on_line
+
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        est = root_via_shift(p, s, opts)
+    finally:
+        sys.settrace(before)
+    return est, pairs
+
+
+class TestShiftedRun:
+    """A shifted run steps the scalar recurrence of ``shift_scale(p, s)`` and
+    carries ``y``; it reads the first two components of ``(a*I + b*C)^j e_1``
+    all the same."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        tail=st.integers(2, 10).flatmap(
+            lambda m: st.lists(st.integers(-9, 9), min_size=m, max_size=m)),
+        a=st.integers(-6, 6),
+        b=st.sampled_from([1, -1, 2, -2, 3]),
+    )
+    def test_reads_the_first_two_components_at_every_step(self, tail, a, b):
+        p = make_polynomial([1, *tail])
+        s = AffineShift(a, b)
+        if not any(shift_scale(p, s).coeffs):
+            return  # nilpotent: no step is taken
+        # no tie and no handover: only an exact sample, which renders short,
+        # settles at 1000 digits before the 60th step
+        with mock.patch.object(driver._TieWindow, "decide", return_value=False), \
+                mock.patch.object(driver, "_hand_over", return_value=None):
+            est, pairs = _run_pairs(p, s, DriverOptions(target_digits=1000, max_iters=60))
+        assert est.iterations == 60 or est.status is RootStatus.CONVERGED
+        family = SequenceFamily(p, shift=s, keep_history=True)
+        want = [family.current[:2]] + [family.step()[:2] for _ in range(est.iterations)]
+        assert pairs == want
+        # peak bits: the start vectors S_0 .. S_(m-1), then every x and y
+        computed = [*(family.vector(j) for j in range(len(tail))), *want]
+        assert est.peak_bits == max(c.bit_length() for v in computed for c in v)
 
 
 class TestRenderingComparison:
@@ -1066,6 +1147,31 @@ class TestRepeatedDominantRoot:
             assert abs(eval_rational(q, est.value)) < abs(eval_rational(q, other))
         else:
             assert est.value == other
+
+    @pytest.mark.parametrize(
+        "coeffs, steps, rendered",
+        [
+            # (x-3)^2 (x+1): the restart settles before its own checkpoint
+            ([1, -5, 3, 9], 65, "3.00000000000"),
+            # (x-3)^2 (x+2): the restart reaches its first checkpoint, where
+            # it is handed over and meets 3 exactly
+            ([1, -4, -3, 18], 80, "3"),
+        ],
+    )
+    def test_a_call_screens_for_repeated_roots_once(self, coeffs, steps, rendered):
+        # the restart is handed its square-free part, and does not screen it
+        # again at its own checkpoints
+        screened = []
+
+        def spy(p):
+            screened.append(p)
+            return _square_free(p)
+
+        with mock.patch.object(driver, "_square_free", spy):
+            est = dominant_root(make_polynomial(coeffs))
+        assert screened == [make_polynomial(coeffs)]
+        assert (est.status, est.iterations, est.decimal()) == (
+            RootStatus.CONVERGED, steps, rendered)
 
     @pytest.mark.parametrize("coeffs", [[1, 0, 0, -2], [1, -5, 3, 9], [1, -6, 12, -8]])
     def test_square_free_part(self, coeffs):

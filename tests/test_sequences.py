@@ -237,6 +237,37 @@ class TestConstructionCost:
         assert list(fam.window[:-1]) == calls
 
 
+class TestStartedFamily:
+    """The private ``_start`` takes the vector at step ``m - 1`` as made: a
+    shifted run starts the family of ``shift_scale(p, s)`` from the first
+    components of its own start vectors."""
+
+    def test_makes_no_start_products(self, monkeypatch):
+        import seqroots.sequences
+
+        s = AffineShift(-3, 2)
+        shifted = SequenceFamily(CUBIC, shift=s)
+        start = tuple(v[0] for v in reversed(shifted.window))
+        assert start == (9, -3, 1)
+        firsts = [shifted.step()[0] for _ in range(12)]
+        calls = []
+
+        def counting(c, v):
+            calls.append(v)
+            return mat_vec(c, v)
+
+        monkeypatch.setattr(seqroots.sequences, "mat_vec", counting)
+        fam = SequenceFamily(shift_scale(CUBIC, s), _start=start)
+        assert calls == []
+        assert (fam.j, fam.current, fam.window, fam.peak_bits) == (2, start, (start,), 4)
+        # no step before m - 1 is stored, so no step ratio exists yet
+        with pytest.raises(OutOfRangeError):
+            fam.successive_ratio(1)
+        assert [fam.step()[0] for _ in range(12)] == firsts
+        assert len(calls) == 12
+        assert fam.successive_ratio(1) == shifted.successive_ratio(1)
+
+
 class TestStepCost:
     """A step is one ``mat_vec`` call through ``seqroots.sequences``: the
     benchmark's ``matvec`` layer counts products through that name, so a
