@@ -46,8 +46,8 @@ steps the scalar recurrence of ``shift_scale(p, s)``, which the ``x_j``
 obey by Cayley-Hamilton, and carries ``y_(j+1) = a*y_j + b*x_j``: ``m + 2``
 products a step instead of the ``3m - 2`` of the whole vector, on the same
 integers.  An extraction run has its own loop too, in
-``_extract_bracket``: it takes samples and tie checkpoints the same way
-and accepts on the certificate alone.  Two cases prove their root before
+``_extract_bracket``: it takes samples the same way, accepts on the
+certificate alone and tests for no tie.  Two cases prove their root before
 any step, and return it exactly with 0 iterations: a
 nilpotent shifted matrix, ``p = (x-r)^m`` with ``a + b*r = 0``, whose
 root is ``-a/b`` (every seed would collapse to the zero vector), and
@@ -60,8 +60,7 @@ compare by cross-multiplying.  Between checkpoints the tie test only
 collects samples, each appended to its block; it finds each block's
 largest and smallest once, in
 ``2 * TIE_SPAN`` comparisons at the first checkpoint after it ends, and
-the two spreads compare in one inequality.  An extraction run, which
-usually ends within a few steps, compares nothing.  Samples are rendered
+the two spreads compare in one inequality.  Samples are rendered
 only when two consecutive ones can render equal: renderings that
 coincide at D significant digits satisfy
 ``|x - y| * 10^(D-1) <= 2 * max(|x|, |y|)``, and a pair that fails this
@@ -132,10 +131,11 @@ TIE_SPAN = 20
 #: consecutive samples render equal (and its residual passes).
 RENDER_WINDOW = 3
 
-#: An extraction run gains log10(1/rho) digits a step, where rho is the ratio
-#: of the distances from the bracket centre to its root and to the next
-#: root.  A run slower than this many steps per target digit (rho above
-#: about 0.56) stops early: bisecting the bracket further is cheaper.
+#: An extraction round gains log10(1/rho) digits a step, where rho is the
+#: ratio of the distances from the bracket centre to its root and to the next
+#: root.  A round gets this many steps per target digit, plus a fixed 40
+#: (``2 * TIE_SPAN``); a slower one (rho above about 0.56) ends at that
+#: budget: bisecting the bracket further is cheaper.
 EXTRACT_STEPS_PER_DIGIT = 4
 BISECT_STEPS = 5
 
@@ -777,14 +777,14 @@ def _extract_bracket(
     sample ``_may_render_equal`` admits is mapped back, and one inside the
     bracket is kept once its nearest integer is a root of ``q`` (``exact``)
     or ``_certified`` holds; nothing is rendered, ``p`` is not evaluated
-    and ``RENDER_WINDOW`` does not apply.  A run takes its samples and tie
-    checkpoints as ``_single_root`` does, within a budget of
-    ``EXTRACT_STEPS_PER_DIGIT`` steps a digit plus two tie blocks.  When a
-    run stops without a value (budget, or a tie with a complex pair nearer
-    c), the bracket tightens and the run repeats.  Should the bracket pin
-    the root down before any run does, its centre is reported as a
-    bisection estimate, so every call returns a root.  Every return reports
-    the steps and the peak bits of all its runs.
+    and ``RENDER_WINDOW`` does not apply.  A round takes its samples as
+    ``_single_root`` does and tests for no tie: it ends on a kept sample or
+    at its budget of ``EXTRACT_STEPS_PER_DIGIT`` steps a digit plus
+    ``2 * TIE_SPAN``, and a round that keeps none tightens the bracket and
+    repeats.  Should the bracket pin the root down before any round does,
+    its centre is reported as a bisection estimate, so every call returns a
+    root.  Every return reports the steps and the peak bits of all its
+    rounds.
     """
     digits = opts.target_digits
     scale = 10 ** (digits - 1)
@@ -815,9 +815,6 @@ def _extract_bracket(
         # K^(m-1) != 0 makes its matrix invertible
         family = SequenceFamily(reversed_monic(recentred))
         vec = family.current
-        tie = _TieWindow()
-        collect = tie.block.append
-        due = tie.due
         steps = pn = pd = 0
         # None until the round keeps a value
         estimator: Optional[str] = None
@@ -846,12 +843,6 @@ def _extract_bracket(
                             value, estimator = Fraction(num, den), ESTIMATOR_CROSS
                             break
                 pn, pd = n, d
-                collect((n, d))
-                due -= 1
-                if not due:
-                    if tie.decide():
-                        break
-                    due = tie.due
             if steps >= limit:
                 break
             vec = family.step()
