@@ -2,7 +2,9 @@
 
 ``dominant_root`` runs on the 100-entry corpus, ``root_via_shift`` on it
 under each of ``SHIFTS``, and ``enumerate_real_roots`` on its all-real
-sub-corpus, each at 12 and 30 digits.  The records are
+sub-corpus and on ``high_degree()``, each at 12 and 30 digits.  The
+corpus stops at degree 4; the high-degree calls reach degree 30, where
+an extraction round's first row holds a large ``K^(m-1)``.  The records are
 stored one call a line in ``tests/data/``, so a change that moves a result
 shows in the diff of the line that names its call.  A change meant to
 move results rewrites them with::
@@ -13,6 +15,7 @@ move results rewrites them with::
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -21,9 +24,11 @@ import pytest
 from seqroots import (
     AffineShift,
     DriverOptions,
+    MonicIntPolynomial,
     RootEstimate,
     dominant_root,
     enumerate_real_roots,
+    make_polynomial,
     root_via_shift,
 )
 
@@ -36,7 +41,39 @@ ENTRIES = {
     "dominant_root": (dominant_root, "corpus"),
     "root_via_shift": (root_via_shift, "corpus"),
     "enumerate_real_roots": (enumerate_real_roots, "simple_real_corpus"),
+    "enumerate_high_degree": (enumerate_real_roots, "high_degree"),
 }
+
+
+def chebyshev(n: int) -> MonicIntPolynomial:
+    """``2*T_n(x/2)``: monic, integer, all ``n`` roots real and clustered at
+    the ends of (-2, 2)."""
+    older, newer = [2], [1, 0]
+    for _ in range(n - 1):
+        padded = [0, 0] + older
+        older, newer = newer, [c - o for c, o in zip(newer + [0], padded)]
+    return make_polynomial(newer)
+
+
+def high_degree() -> list[MonicIntPolynomial]:
+    """Chebyshev at degree 20 and 30, Mignotte's ``x^10-2(100x-1)^2`` with
+    its close pair, and the degree-30 draw of ``random.Random(60)``."""
+    rng = random.Random(60)
+    drawn = [1] + [rng.randint(-9, 9) for _ in range(30)]
+    return [
+        chebyshev(20),
+        chebyshev(30),
+        make_polynomial([1] + [0] * 7 + [-20000, 400, -2]),
+        make_polynomial(drawn),
+    ]
+
+
+def polys_for(source: str, corpus: list) -> list[MonicIntPolynomial]:
+    if source == "high_degree":
+        return high_degree()
+    if source == "simple_real_corpus":
+        corpus = [e for e in corpus if e.all_real_separated]
+    return [e.poly for e in corpus]
 
 
 def record(est: RootEstimate) -> dict:
@@ -62,10 +99,10 @@ def records(entry: str, polys: list) -> list[dict]:
             for poly in polys:
                 if shift is None:
                     result = fn(poly, opts)
-                    call = f"{entry}({poly}, digits={digits})"
+                    call = f"{fn.__name__}({poly}, digits={digits})"
                 else:
                     result = fn(poly, AffineShift(*shift), opts)
-                    call = f"{entry}({poly}, shift={shift}, digits={digits})"
+                    call = f"{fn.__name__}({poly}, shift={shift}, digits={digits})"
                 estimates = result if isinstance(result, list) else [result]
                 out.append({"call": call, "estimates": [record(e) for e in estimates]})
     return out
@@ -81,8 +118,8 @@ def load(entry: str) -> list[dict]:
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES))
-def test_every_field_matches_the_stored_records(entry, request):
-    polys = [e.poly for e in request.getfixturevalue(ENTRIES[entry][1])]
+def test_every_field_matches_the_stored_records(entry, corpus):
+    polys = polys_for(ENTRIES[entry][1], corpus)
     got = records(entry, polys)
     stored = load(entry)
     assert [r["call"] for r in got] == [r["call"] for r in stored]
@@ -95,14 +132,10 @@ def write() -> None:
     from conftest import build_corpus
 
     corpus = build_corpus()
-    polys = {
-        "corpus": [e.poly for e in corpus],
-        "simple_real_corpus": [e.poly for e in corpus if e.all_real_separated],
-    }
     DATA.mkdir(exist_ok=True)
     for entry in ENTRIES:
         with path(entry).open("w") as fh:
-            for line in records(entry, polys[ENTRIES[entry][1]]):
+            for line in records(entry, polys_for(ENTRIES[entry][1], corpus)):
                 fh.write(json.dumps(line) + "\n")
 
 
