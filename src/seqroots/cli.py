@@ -16,8 +16,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from decimal import Decimal
-from fractions import Fraction
 from typing import Callable, NoReturn, Optional, Sequence
 
 from .bench import BenchCase, builtin_cases, format_report, run_bench
@@ -32,7 +30,7 @@ from .driver import (
 )
 from .errors import SeqrootsError
 from .poly import IDENTITY_SHIFT, AffineShift, MonicIntPolynomial, make_polynomial
-from .render import ratio_string
+from .render import fraction_text, ratio_string
 from .sequences import SequenceFamily, default_seed
 
 EXIT_OK = 0
@@ -170,16 +168,10 @@ def _shift_field(shift: Optional[AffineShift]) -> Optional[list[str]]:
     return [str(shift.a), str(shift.b)]
 
 
-def _fraction_text(value: Fraction) -> str:
-    """``str(value)`` via ``Decimal``, which the int-to-str digit limit does not cover."""
-    n, d = (str(Decimal(i)) for i in value.as_integer_ratio())
-    return n if d == "1" else f"{n}/{d}"
-
-
 def _estimate_field(est: RootEstimate, digits: int) -> dict:
     return {
         "value": est.decimal(digits),
-        "fraction": _fraction_text(est.value),
+        "fraction": fraction_text(est.value),
         "digits": est.decimal_digits,
         "status": est.status.value,
         "iterations": est.iterations,

@@ -52,7 +52,10 @@ any step, and return it exactly with 0 iterations: a
 nilpotent shifted matrix, ``p = (x-r)^m`` with ``a + b*r = 0``, whose
 root is ``-a/b`` (every seed would collapse to the zero vector), and
 degree 1, whose root is ``-a_1``.  Every root known exactly, there or in
-enumeration, is reported one way: converged, estimator ``exact``.
+enumeration, is reported one way: converged, estimator ``exact``.  Root
+0's eigenvector has no first two components to read, so ``root_via_shift``
+runs a ``p`` with roots 0 and others, under ``a != 0``, with its zero
+roots divided out and decides from that run's root whether 0 dominates.
 
 The loops around the recurrence stay in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
@@ -83,6 +86,9 @@ largest shifted modulus is always attained on the convex hull of the root
 set), so each interval is finished through an auxiliary polynomial:
 recentering at the interval midpoint and reversing coefficients maps the
 nearest root to the dominant one, where the same ratio iteration applies.
+A round recentres the coefficient list and builds the first row of the
+reversed polynomial's companion from it, which ``SequenceFamily`` takes
+as its matrix: no polynomial object is built for a round.
 Each sample the render prefilter admits is mapped back exactly and kept
 once exact signs of the polynomial place the root within the target
 precision of it.  Those signs are taken first at short dyadic points just
@@ -96,7 +102,7 @@ two and every sign test is the sign of the integer ``v^m q(u/v)``, so a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -104,7 +110,7 @@ from itertools import chain
 from operator import index as _as_int
 from typing import Optional
 
-from .companion import iteration_matrix, mat_vec
+from .companion import IterationMatrix, iteration_matrix, mat_vec
 from .errors import OutOfRangeError, ZeroDenominatorError
 from .poly import (
     IDENTITY_SHIFT,
@@ -115,10 +121,9 @@ from .poly import (
     deflate_zero_root,
     eval_homogeneous,
     eval_rational,
-    reversed_monic,
     shift_scale,
 )
-from .render import EXACT_AGREEMENT, decimal_string
+from .render import EXACT_AGREEMENT, decimal_string, fraction_text
 from .sequences import SequenceFamily, default_seed
 
 ESTIMATOR_CROSS = "cross-ratio"
@@ -194,6 +199,13 @@ class RootEstimate:
     shift_used: AffineShift
     estimator: str
     peak_bits: int = 0
+
+    def __repr__(self) -> str:
+        # the dataclass repr, with the value's integers written through
+        # ``Decimal``: repr(Fraction) raises past the int-to-str digit limit
+        n, _, d = fraction_text(self.value).partition("/")
+        rest = "".join(f", {f.name}={getattr(self, f.name)!r}" for f in fields(self)[1:])
+        return f"{type(self).__qualname__}(value=Fraction({n}, {d or 1}){rest})"
 
     @property
     def converged(self) -> bool:
@@ -551,8 +563,39 @@ def root_via_shift(
     ``dominant_root``.  ``p = (x-r)^m`` with ``a + b*r = 0`` makes the
     shifted matrix nilpotent: its root ``-a/b`` is returned exactly, with
     0 iterations, as is the root of a degree-1 ``p``.
+
+    Samples read the first two components, and root 0's eigenvector
+    ``(0, ..., 0, 1)`` has none to read, so for ``a != 0`` a ``p`` with
+    roots 0 and others runs on ``q``, ``p`` with every zero root divided
+    out.  If ``q`` converges to ``r``, 0 dominates iff ``|a| > |a + b*r|``,
+    that is iff ``r`` lies strictly between 0 and ``t = -2a/b``.  When every
+    point within ``|r| * 10^-digits`` of ``r`` does, the root is exactly 0,
+    reported with ``q``'s iterations and peak bits; when none does, it is
+    ``q``'s estimate; otherwise the two images are too close to tell apart,
+    and the call reports a tie.  A tie or a budget end of ``q`` is the
+    call's.
     """
-    return _single_root(p, s, opts)
+    coeffs = p.coeffs
+    if s.a == 0 or coeffs[-1] or not any(coeffs):
+        return _single_root(p, s, opts)
+    while not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    est = _single_root(MonicIntPolynomial(coeffs), s, opts)
+    if est.status is not RootStatus.CONVERGED:
+        return est
+    u, w = est.value.numerator, est.value.denominator
+    if u * s.a * s.b < 0:
+        # r and t on one side of 0: |r| (1 +- 10^-D) < |t| = 2|a|/|b|, each
+        # side times w * |b| * 10^D
+        scale = 10**est.decimal_digits
+        near, bound = abs(u * s.b), 2 * abs(s.a) * w * scale
+        if near * (scale + 1) < bound:
+            return _exact_estimate(Fraction(0), s, opts, est.iterations, est.peak_bits)
+        if near * (scale - 1) <= bound:
+            return replace(
+                est, decimal_digits=0, status=RootStatus.TIE_DETECTED, estimator=ESTIMATOR_CROSS
+            )
+    return est
 
 
 # -- enumeration --------------------------------------------------------------
@@ -769,11 +812,16 @@ def _extract_bracket(
 
     ``s_lo`` is the sign of ``q`` just above the left end.  Bisection
     tightens the bracket, one level of ``k`` a halving, and reads each sign
-    from ``eval_homogeneous``.  Recentring at the midpoint c = u/v and
-    reversing coefficients produces a polynomial whose dominant root is
-    K / (v*r - u) for the root r nearest c (K its constant term), so the
-    ratio iteration applies and a sample ``n/d`` maps back to
-    ``(u + K*d/n) / v`` exactly.  Acceptance is the certificate alone: each
+    from ``eval_homogeneous``.  Recentring at the midpoint c = u/v gives the
+    coefficient list ``(1, r_1, ..., r_m)`` of ``v^m q((x + u)/v)``, whose
+    roots are ``v*r - u``, and ``K = r_m``.  Reversing it and scaling by
+    ``K`` gives a monic polynomial whose dominant root is K / (v*r - u) for
+    the root r nearest c, so the ratio iteration applies and a sample
+    ``n/d`` maps back to ``(u + K*d/n) / v`` exactly.  A round builds that
+    polynomial's companion first row ``-(r_(m-1), r_(m-2)*K, ...,
+    r_1*K^(m-2), K^(m-1))`` straight from the list and hands it to
+    ``SequenceFamily`` through ``_matrix``, which still makes the ``m - 1``
+    start products.  Acceptance is the certificate alone: each
     sample ``_may_render_equal`` admits is mapped back, and one inside the
     bracket is kept once its nearest integer is a root of ``q`` (``exact``)
     or ``_certified`` holds; nothing is rendered, ``p`` is not evaluated
@@ -789,6 +837,7 @@ def _extract_bracket(
     digits = opts.target_digits
     scale = 10 ** (digits - 1)
     limit = min(EXTRACT_STEPS_PER_DIGIT * digits + 2 * TIE_SPAN, opts.max_iters)
+    full = q.with_leading()
     spent = 0
     peak = 0
     while True:
@@ -807,13 +856,20 @@ def _extract_bracket(
         # in lowest terms: a needless factor 2 in v would scale coefficient j
         # of the recentred polynomial by 2^j
         u, v = _lowest_terms(lo + hi, k + 1)
-        recentred = shift_scale(q, AffineShift(-u, v))
-        K = recentred.constant_term
+        # v^m q((x + u)/v) = x^m + r_1 x^(m-1) + ... + r_m, descending
+        recentred = compose_affine(full, 1, u, v)
+        K = recentred[-1]
         if K == 0:
             return _exact_estimate(Fraction(u, v), IDENTITY_SHIFT, opts, spent, peak)
-        # no collapse exit: the reversed polynomial's constant term
-        # K^(m-1) != 0 makes its matrix invertible
-        family = SequenceFamily(reversed_monic(recentred))
+        # the first row of the reversed polynomial's companion,
+        # -(r_(m-1), r_(m-2)*K, ..., r_1*K^(m-2), K^(m-1)); no collapse exit:
+        # its last entry is nonzero, so the matrix is invertible
+        top, power = [], -1
+        for c in recentred[-2:0:-1]:
+            top.append(c * power)
+            power *= K
+        top.append(power)
+        family = SequenceFamily(None, _matrix=IterationMatrix(tuple(top), 0, 1))
         vec = family.current
         steps = pn = pd = 0
         # None until the round keeps a value

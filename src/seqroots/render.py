@@ -47,6 +47,12 @@ def ratio_string(numerator: int, denominator: int, digits: int) -> str:
     return decimal_string(numerator, digits, denominator)
 
 
+def fraction_text(value: Fraction) -> str:
+    """``str(value)`` via ``Decimal``, which the int-to-str digit limit does not cover."""
+    n, d = (str(Decimal(i)) for i in value.as_integer_ratio())
+    return n if d == "1" else f"{n}/{d}"
+
+
 def agreement_digits(a: Fraction, b: Fraction) -> int:
     """Significant digits on which two rationals agree (EXACT_AGREEMENT if equal)."""
     if a == b:

@@ -29,18 +29,20 @@ makes the ``m - 1`` start products of ``M`` itself, then steps the family
 of ``shift_scale(p, shift)`` under the identity shift, started through the
 private ``_start`` from those first components, and carries the second
 component beside it.  The public family, and ``seqroots sequences
---shift``, still step ``M`` whole.
+--shift``, still step ``M`` whole.  An extraction round of
+``driver._extract_bracket`` hands the family its companion's first row,
+computed from a coefficient list, through the private ``_matrix``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from operator import index
 from typing import Optional, Sequence
 
-from .companion import IntVector, iteration_matrix, mat_vec
+from .companion import IntVector, IterationMatrix, iteration_matrix, mat_vec
 from .errors import (
     DimensionMismatchError,
     OutOfRangeError,
@@ -68,6 +70,13 @@ class SequenceFamily:
     caller: the family makes no start products, stores no earlier step and
     takes ``peak_bits`` from that vector alone.  A shifted run of
     ``driver._single_root`` starts its first-component family this way.
+
+    The private ``_matrix`` is the iteration matrix itself, made by the
+    caller: ``poly`` is then None, and ``degree`` and ``shift`` are read off
+    the matrix.  The family still makes its start products.  An extraction
+    round of ``driver._extract_bracket`` builds its family this way from the
+    first row of its reversed polynomial's companion, and so builds no
+    polynomial.
     """
 
     __slots__ = ("poly", "shift", "matrix", "degree", "j", "current", "peak_bits",
@@ -75,14 +84,20 @@ class SequenceFamily:
 
     def __init__(
         self,
-        poly: MonicIntPolynomial,
+        poly: Optional[MonicIntPolynomial],
         seed: Optional[Sequence[int]] = None,
         *,
         shift: AffineShift = IDENTITY_SHIFT,
         keep_history: bool = False,
         _start: Optional[IntVector] = None,
+        _matrix: Optional[IterationMatrix] = None,
     ) -> None:
-        m = poly.degree
+        matrix = iteration_matrix(poly, shift) if _matrix is None else _matrix
+        # under (0, 1) a step copies all components but the first
+        copies = matrix.a == 0 and matrix.b == 1
+        if _matrix is not None:
+            shift = IDENTITY_SHIFT if copies else AffineShift(matrix.a, matrix.b)
+        m = len(matrix.top)
         products = m - 1
         if _start is not None:
             # the vector at step m - 1, already made by the caller
@@ -95,22 +110,24 @@ class SequenceFamily:
                 raise DimensionMismatchError(f"seed has dim {len(seed)}, need {m}")
             if not any(seed):
                 raise ZeroSeedError("seed vector is zero")
-        matrix = iteration_matrix(poly, shift)
         # every vector with ``keep_history``, else the last m
         stored = [seed] if keep_history else deque([seed], maxlen=m)
         vec = seed
+        peak = max(map(int.bit_length, seed))
         for _ in range(products):
             vec = mat_vec(matrix, vec)
             stored.append(vec)
+            bits = vec[0].bit_length() if copies else max(map(int.bit_length, vec))
+            if bits > peak:
+                peak = bits
         self.poly = poly
         self.shift = shift
         self.matrix = matrix
         self.degree = m
         self.j = m - 1
         self.current = vec
-        self.peak_bits = max(map(int.bit_length, chain.from_iterable(stored)))
-        # under (0, 1) a step copies all components but the first
-        self._copies = shift.a == 0 and shift.b == 1
+        self.peak_bits = peak
+        self._copies = copies
         self._stored = stored
 
     # -- state ------------------------------------------------------------

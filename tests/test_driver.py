@@ -39,7 +39,15 @@ from seqroots.driver import (
     _TieWindow,
 )
 from seqroots.errors import OutOfRangeError, ZeroDenominatorError
-from seqroots.poly import MAX_DEGREE, eval_homogeneous, eval_rational, shift_scale
+from seqroots.companion import iteration_matrix
+from seqroots.poly import (
+    MAX_DEGREE,
+    MonicIntPolynomial,
+    eval_homogeneous,
+    eval_rational,
+    reversed_monic,
+    shift_scale,
+)
 from seqroots.render import EXACT_AGREEMENT, decimal_string
 from seqroots.sequences import SequenceFamily
 
@@ -48,6 +56,14 @@ CBRT2 = 2 ** (1 / 3)
 
 QUADRATIC = make_polynomial([1, 2, -1])
 CUBIC = make_polynomial([1, 0, 0, -2])
+
+
+def _from_roots(roots) -> list[int]:
+    """Descending coefficients of ``prod (x - r)``."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [c - r * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 class TestDriverOptions:
@@ -141,6 +157,40 @@ class TestRootViaShift:
         est = root_via_shift(make_polynomial([1, 7]), AffineShift(3, 2))
         assert est.converged
         assert est.value == -7
+
+    @pytest.mark.parametrize(
+        "roots, shift, want",
+        [
+            # root 0's eigenvector (0, ..., 0, 1) gives samples nothing to
+            # read: the first two returned 1 as converged, the next two ran
+            # their whole budget
+            ((0, 1, 2), (-5, 1), 0),
+            ((0, 1, 2, 3), (-7, 2), 0),
+            ((0, 7), (-5, 1), 0),
+            ((0, 1, 1), (-1, 1), 0),
+            ((0, 2, -1), (-5, 1), -1),
+            ((0, 1, 2), (1, 1), 2),
+        ],
+    )
+    def test_a_zero_root_is_reported_when_its_image_dominates(self, roots, shift, want):
+        s = AffineShift(*shift)
+        images = {r: abs(s.a + s.b * r) for r in roots}
+        assert max(images, key=images.get) == want
+        p = make_polynomial(_from_roots(roots))
+        q = make_polynomial(_from_roots([r for r in roots if r]))
+        est, on_q = root_via_shift(p, s), root_via_shift(q, s)
+        assert est.status is RootStatus.CONVERGED and est.value == want
+        assert (est.iterations, est.peak_bits, est.shift_used) == (
+            on_q.iterations, on_q.peak_bits, s)
+        if want == 0:
+            assert (est.estimator, est.decimal_digits) == ("exact", EXACT_AGREEMENT)
+        else:
+            assert est == on_q
+
+    def test_a_zero_root_whose_image_ties_reports_a_tie(self):
+        # x (x - 10) under x - 5: the images -5 and 5
+        est = root_via_shift(make_polynomial([1, -10, 0]), AffineShift(-5, 1))
+        assert (est.status, est.decimal_digits) == (RootStatus.TIE_DETECTED, 0)
 
 
 class TestZeroDenominatorSteps:
@@ -658,9 +708,12 @@ class TestIntegerAcceptanceChecks:
         family.run_to(11)
         assert family.current[:2] == (0, 8192) and family.vector(10)[:2] == (0, -4096)
         assert family.successive_ratio(2) == s.a
-        est = root_via_shift(p, s)
+        est = driver._single_root(p, s, DriverOptions())
         assert (est.value, est.status, est.iterations, est.estimator) == (
             0, RootStatus.CONVERGED, 7, "cross-ratio")
+        # root_via_shift runs on the quartic instead, whose complex pair near
+        # -0.14 +- 0.76i has the image modulus 2.75, above root 0's 2
+        assert root_via_shift(p, s).status is RootStatus.TIE_DETECTED
 
 
     def test_a_rejected_rendering_is_checked_once(self, monkeypatch):
@@ -683,10 +736,10 @@ class TestIntegerAcceptanceChecks:
 
 
 def _run_pairs(p, s, opts):
-    """``root_via_shift(p, s, opts)`` and the pair ``(x_j, y_j)`` its run
-    reads at each step: the locals ``vec[0]`` and ``y`` of
-    ``_single_root`` on the line where it takes its sample, read by a line
-    tracer on the outermost call's frame."""
+    """``_single_root(p, s, opts)``, the run of ``root_via_shift``, and the
+    pair ``(x_j, y_j)`` it reads at each step: the locals ``vec[0]`` and
+    ``y`` on the line where it takes its sample, read by a line tracer on
+    the outermost call's frame."""
     code = driver._single_root.__code__
     lines, first = inspect.getsourcelines(driver._single_root)
     target = first + next(i for i, line in enumerate(lines) if "n, d = vec[0], y" in line)
@@ -707,7 +760,7 @@ def _run_pairs(p, s, opts):
     before = sys.gettrace()
     sys.settrace(on_call)
     try:
-        est = root_via_shift(p, s, opts)
+        est = driver._single_root(p, s, opts)
     finally:
         sys.settrace(before)
     return est, pairs
@@ -1093,9 +1146,9 @@ class TestRepeatedDominantRoot:
             # (x-3)^2 (x-2): the square-free part's run is handed over and
             # meets 3 exactly
             ([1, -8, 21, -18], None, RootStatus.CONVERGED, 3, 0, 78),
-            # x^2 (x-2): the double root 0 dominates under x - 3; the
-            # square-free part's samples tend to 0, and a grown bracket holds it
-            ([1, -2, 0, 0], (-3, 1), RootStatus.CONVERGED, 0, 0, 78),
+            # x^2 (x-2): the double root 0 dominates under x - 3, found from
+            # x - 2 with its zero roots divided out, before any step
+            ([1, -2, 0, 0], (-3, 1), RootStatus.CONVERGED, 0, 0, 0),
         ],
     )
     def test_finishes_on_the_square_free_part(self, coeffs, shift, status, value, tol, steps):
@@ -1329,6 +1382,71 @@ class TestEstimateFields:
             assert est.peak_bits == max(peaks)
             found.append((est.value, est.decimal(), peaks[-1], len(peaks), est.peak_bits))
         assert min(found)[1:] == ("-2.23912721205", 1835, 4, 30569)
+
+    def test_a_round_steps_the_reversed_companion_row_and_builds_no_polynomial(self):
+        # x^10 - 2(100x - 1)^2 at 30 digits: a close pair, some rounds fail
+        q = make_polynomial([1] + [0] * 7 + [-20000, 400, -2])
+        opts = DriverOptions(target_digits=30)
+        recentred, rows = [], []
+        compose_affine = driver.compose_affine
+
+        def recentre(*args):
+            out = compose_affine(*args)
+            recentred.append(out)
+            return out
+
+        def family(*args, **kwargs):
+            made = SequenceFamily(*args, **kwargs)
+            rows.append((made.poly, made.matrix))
+            return made
+
+        for bracket in _isolate(q)[1]:
+            want = extract_bracket(q, *bracket, opts)
+            recentred.clear()
+            rows.clear()
+            with (
+                mock.patch.object(driver, "compose_affine", recentre),
+                mock.patch.object(driver, "SequenceFamily", family),
+                mock.patch.object(MonicIntPolynomial, "__post_init__", side_effect=AssertionError),
+                mock.patch.object(AffineShift, "__post_init__", side_effect=AssertionError),
+            ):
+                assert extract_bracket(q, *bracket, opts) == want
+            # each round's matrix is the companion of the reversed recentred
+            # polynomial, as reversed_monic builds it
+            assert len(rows) == len(recentred) >= 1
+            for desc, (poly, matrix) in zip(recentred, rows):
+                reversed_poly = reversed_monic(MonicIntPolynomial(tuple(desc[1:])))
+                assert poly is None and matrix == iteration_matrix(reversed_poly)
+
+    def test_repr_past_the_int_to_str_limit(self):
+        # enumerate_real_roots(2*T_40(x/2)) returns fractions of about 20000
+        # bits, whose repr(Fraction) raises under the default limit
+        est = driver.RootEstimate(
+            Fraction(10**700 + 1, 10**700), 12, 1, RootStatus.CONVERGED,
+            IDENTITY_SHIFT, "cross-ratio",
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = repr(est)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == (
+            f"RootEstimate(value=Fraction(1{'0' * 699}1, 1{'0' * 700}), decimal_digits=12, "
+            "iterations=1, status=<RootStatus.CONVERGED: 'converged'>, "
+            "shift_used=AffineShift(a=0, b=1), estimator='cross-ratio', peak_bits=0)"
+        )
+
+    def test_repr_reads_as_the_dataclass_repr(self):
+        est = root_via_shift(QUADRATIC, AffineShift(2, 1))
+        fields = ", ".join(
+            f"{name}={getattr(est, name)!r}"
+            for name in ("value", "decimal_digits", "iterations", "status", "shift_used",
+                         "estimator", "peak_bits")
+        )
+        assert repr(est) == f"RootEstimate({fields})"
+        whole = driver._exact_estimate(Fraction(3), IDENTITY_SHIFT, DriverOptions())
+        assert repr(whole).startswith("RootEstimate(value=Fraction(3, 1), decimal_digits=999,")
 
     def test_peak_bits_grow_with_precision(self):
         small = dominant_root(QUADRATIC, DriverOptions(target_digits=6))

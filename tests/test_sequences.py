@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqroots import (
@@ -22,7 +22,7 @@ from seqroots import (
     ZeroSeedError,
     make_polynomial,
 )
-from seqroots.companion import IterationMatrix, mat_vec
+from seqroots.companion import IterationMatrix, iteration_matrix, mat_vec
 from seqroots.poly import shift_scale
 from seqroots.render import decimal_string
 
@@ -410,6 +410,51 @@ class TestStepEqualsMatrixOrbit:
             assert fam.peak_bits == peaks[fam.j], f"step {j}"
         if keep_history:
             assert [fam.vector(j) for j in range(self.STEPS + 1)] == orbit
+
+
+class TestFamilyFromItsMatrix:
+    """The private ``_matrix`` takes the iteration matrix as made: a family
+    built from ``iteration_matrix(p, s)`` is the family of ``p`` under ``s``,
+    and the start products' running peak is the widest stored integer."""
+
+    STEPS = 30
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(family=_families(), keep_history=st.booleans())
+    def test_matches_the_family_of_its_polynomial(self, family, keep_history):
+        poly, shift, seed = family
+        want = SequenceFamily(poly, seed, shift=shift, keep_history=keep_history)
+        got = SequenceFamily(
+            None, seed, keep_history=keep_history, _matrix=iteration_matrix(poly, shift)
+        )
+        assert got.poly is None
+        assert (got.degree, got.shift, got.matrix) == (want.degree, shift, want.matrix)
+        for _ in range(self.STEPS):
+            assert (got.current, got.window, got.peak_bits) == (
+                want.current, want.window, want.peak_bits)
+            got.step()
+            want.step()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(family=_families(), keep_history=st.booleans(), started=st.booleans())
+    @example(
+        family=(make_polynomial([1, -3, -3]), AffineShift(-5, 2), [0, 1]),
+        keep_history=False,
+        started=False,
+    )
+    def test_start_peak_is_the_widest_stored_integer(self, family, keep_history, started):
+        poly, shift, seed = family
+        if started:
+            # a vector at step m - 1, as a shifted run hands its x family
+            made = [SequenceFamily(poly, keep_history=keep_history, _start=tuple(seed))]
+        else:
+            # the default seed (1, 0, ..., 0) lets a later component be the
+            # widest, as (1, 2) for x^2 - 3x - 3 under -5 + 2x
+            made = [SequenceFamily(poly, s, shift=shift, keep_history=keep_history)
+                    for s in (seed, None)]
+        for fam in made:
+            # every vector the constructor stores, as the peak once was read
+            assert fam.peak_bits == max(c.bit_length() for v in fam.window for c in v)
 
 
 @st.composite
