@@ -76,11 +76,14 @@ the step-over-step cross-check that accept a settled value are each one
 integer inequality, cross-multiplied from their ``Fraction`` forms.
 
 Enumeration of all real roots isolates, then extracts, then certifies.
-The square-free part of the polynomial (the polynomial itself when a
-gcd modulo a small prime shows it square-free) is split into disjoint
-intervals that each hold one root, by Descartes' rule of signs with
-exact integer Taylor shifts and halvings (Collins & Akritas; Rouillier &
-Zimmermann).
+The square-free part of the polynomial (the polynomial itself when one
+evaluation at a large power of two proves it square-free) is split into
+disjoint intervals that each hold one root, by Descartes bisection
+(Collins & Akritas; Rouillier & Zimmermann) in the Bernstein basis
+(Mourrain, Rouillier & Roy): each interval carries the integer Bernstein
+coefficients of the polynomial on it, whose sign variations bound its
+roots there, and one integer de Casteljau triangle at the midpoint gives
+both halves' coefficients, so a whole tree costs two changes of variable.
 Interior real roots can never dominate under a real affine shift (the
 largest shifted modulus is always attained on the convex hull of the root
 set), so each interval is finished through an auxiliary polynomial:
@@ -107,7 +110,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from operator import index as _as_int
+from operator import add, index as _as_int
 from typing import Optional
 
 from .companion import IterationMatrix, iteration_matrix, mat_vec
@@ -147,11 +150,6 @@ BISECT_STEPS = 5
 #: A handover bracket with equal signs at its ends grows fourfold, at most
 #: this often.
 BRACKET_GROWTHS = 3
-
-#: The prime of the square-free screen: above ``MAX_DEGREE``, so ``p'``
-#: keeps its degree modulo it, and small enough that products of residues
-#: stay single machine words.
-SQUARE_FREE_PRIME = 32003
 
 
 class RootStatus(Enum):
@@ -628,47 +626,46 @@ def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return quotient, r
 
 
-def _coprime_mod_prime(a: list[int], b: list[int]) -> bool:
-    """The descending integer polynomials ``a`` and ``b``, ``b`` with a
-    leading coefficient not divisible by ``SQUARE_FREE_PRIME``, have no
-    common factor over GF(``SQUARE_FREE_PRIME``): Euclid's algorithm with
-    each divisor made monic."""
-    P = SQUARE_FREE_PRIME
-    a = [c % P for c in a]
-    b = [c % P for c in b]
-    while len(b) > 1:
-        inv = pow(b[0], -1, P)
-        b = [c * inv % P for c in b]
-        for _ in range(len(a) - len(b) + 1):
-            lead = a[0]
-            if lead:
-                for i in range(1, len(b)):
-                    a[i] = (a[i] - lead * b[i]) % P
-            del a[0]
-        while a and a[0] == 0:
-            del a[0]
-        if not a:
-            return False
-        a, b = b, a
-    return True
+def _proved_square_free(p: MonicIntPolynomial) -> bool:
+    """True proves ``p`` and ``p'`` coprime, from one evaluation of each at
+    ``t = 2^s``; False decides nothing.
+
+    For ``R = cauchy_bound(p)`` and ``s = R.bit_length() + 64``, a common
+    factor ``g`` of ``p`` and ``p'`` of positive degree may be taken monic,
+    and then has integer coefficients, as a factor of the monic ``p``
+    (Gauss's lemma).  Division by a monic integer polynomial stays in the
+    integers, so ``g(t)`` divides both ``p(t)`` and ``p'(t)``.  Every root
+    of ``g`` is one of ``p``, below ``R`` in absolute value, so
+    ``|g(t)| > t - R``.  A gcd of ``p(t)`` and ``p'(t)`` below ``t - R``
+    therefore rules every such ``g`` out.  The 64 guard bits only make that
+    likely: whatever the gcd, ``_square_free`` returns the same polynomial.
+    Both values are packed by shifts, in the homogeneous Horner scheme.
+    """
+    r = cauchy_bound(p)
+    s = r.bit_length() + 64
+    m = p.degree
+    value, slope = 1, m
+    for i, c in enumerate(p.coeffs, 1):
+        value = (value << s) + c
+        if i < m:
+            slope = (slope << s) + (m - i) * c
+    return math.gcd(value, slope) < (1 << s) - r
 
 
 def _square_free(p: MonicIntPolynomial) -> MonicIntPolynomial:
     """``p / gcd(p, p')``: the same roots, each simple.
 
-    A screen modulo ``SQUARE_FREE_PRIME`` decides most calls: a repeated
-    factor ``g`` of ``p``, monic since ``p`` is, divides ``p`` and ``p'``
-    modulo the prime too, so ``p`` and ``p'`` coprime there prove ``p``
-    square-free, and ``p`` is returned.  Otherwise the gcd comes from a
-    primitive remainder sequence in integers.  It divides the monic ``p``,
-    so by Gauss's lemma its primitive part is monic, and so is the exact
-    quotient.
+    ``_proved_square_free`` decides most calls, and ``p`` is returned
+    itself.  Otherwise the gcd comes from a primitive remainder sequence in
+    integers.  It divides the monic ``p``, so by Gauss's lemma its primitive
+    part is monic, and so is the exact quotient; a square-free ``p`` the
+    evaluation did not prove is still returned itself.
     """
+    if _proved_square_free(p):
+        return p
     full = list(p.with_leading())
     m = p.degree
     a, b = full, [(m - i) * c for i, c in enumerate(full[:-1])]
-    if _coprime_mod_prime(a, b):
-        return p
     while b:
         a, b = b, _primitive(_pseudo_divide(a, b)[1])
     if len(a) == 1:
@@ -678,15 +675,11 @@ def _square_free(p: MonicIntPolynomial) -> MonicIntPolynomial:
     return MonicIntPolynomial(tuple(quotient[1:]))
 
 
-def _roots_in_unit_interval(desc: list[int]) -> int:
-    """Descartes bound on the roots of ``P`` in (0, 1), capped at 2.
-
-    The sign variations of ``(x+1)^m P(1/(x+1))`` bound the roots in (0, 1)
-    from above and share their parity, so 0 and 1 are exact counts.
-    """
+def _sign_variations(coeffs: list[int]) -> int:
+    """Sign changes along ``coeffs``, zeros skipped, capped at 2."""
     count = 0
     last = 0
-    for c in compose_affine(desc[::-1], 1, 1, 1):
+    for c in coeffs:
         if c == 0:
             continue
         if last and (c > 0) != (last > 0):
@@ -697,10 +690,47 @@ def _roots_in_unit_interval(desc: list[int]) -> int:
     return count
 
 
+def _count_form(desc: list[int]) -> list[int]:
+    """``T(x) = (x+1)^m P(1/(x+1))`` for the descending coefficients ``desc``
+    of a degree-``m`` ``P``, descending.
+
+    With ``P(t) = sum beta_i C(m, i) t^i (1-t)^(m-i)`` in the Bernstein
+    basis of (0, 1), ``T_i = C(m, i) * beta_i``.  So by Descartes' rule the
+    sign variations of ``T`` (``_sign_variations``) bound the roots of ``P``
+    in (0, 1) from above and share their parity: 0 and 1 are exact counts.
+    """
+    return compose_affine(desc[::-1], 1, 1, 1)
+
+
 def _on_unit_interval(q: MonicIntPolynomial, lo: int, hi: int, k: int) -> list[int]:
     """Descending integer coefficients of ``P(t) = c * q((lo + (hi - lo) t) / 2^k)``
     for some ``c > 0``: the roots of ``q`` in the bracket, mapped onto (0, 1)."""
     return compose_affine(q.with_leading(), hi - lo, lo, 1 << k)
+
+
+def _halves(b: list[int]) -> tuple[list[int], list[int]]:
+    """The integer Bernstein coefficients of ``P(t/2)`` and ``P((1+t)/2)``
+    on (0, 1), from those of ``P``, ``b``: one de Casteljau triangle at 1/2
+    in sum form.
+
+    The rows ``s^(0) = b`` and ``s^(r)_i = s^(r-1)_i + s^(r-1)_(i+1)`` are
+    ``2^r`` times de Casteljau's averages.  The left half's coefficients
+    are ``left_j = s^(j)_0 << (m-j)`` and the right half's
+    ``right_j = s^(m-j)_j << j``: both halves' true coefficients times
+    ``2^m``, so every sign is theirs.  ``right_0 = left_m`` is ``2^m P(1/2)``
+    times a positive constant.
+    """
+    m = len(b) - 1
+    row = b
+    left = [b[0] << m]
+    right = [b[m] << m]
+    # shift = m - r on row r, which ends at right_(m-r)
+    for shift in range(m - 1, -1, -1):
+        row = list(map(add, row, row[1:]))
+        left.append(row[0] << shift)
+        right.append(row[-1] << shift)
+    right.reverse()
+    return left, right
 
 
 def _isolate(
@@ -714,34 +744,45 @@ def _isolate(
     the sign of ``q`` just above its left end.  Intervals are disjoint, so
     the roots they hold are distinct.
 
-    Every interval carries an integer polynomial ``P`` with
-    ``P(t) = c * q(lo + (hi - lo) t)`` for some ``c > 0``, so the roots of
-    ``q`` in the interval are those of ``P`` in (0, 1).  The halves are
-    ``2^m P(t/2)`` and its Taylor shift by 1.  The search starts on
-    ``(-B, B)`` for a power of two ``B >= cauchy_bound(q)``.
+    The search starts on ``(-B, B)`` for a power of two
+    ``B >= cauchy_bound(q)``, and takes each interval's right half first.
+    Every interval carries the integer Bernstein coefficients ``b`` of a
+    polynomial ``P`` on (0, 1), with ``P(t) = c * q(lo + (hi - lo) t)`` for
+    some ``c > 0``, so the roots of ``q`` in the interval are those of
+    ``P`` in (0, 1).  The first interval's are ``b_i = T_i * i! * (m-i)!``
+    from the count form ``T`` of ``_count_form``: ``m!`` times the true
+    ones.  An interval's Descartes count is the sign variations of its
+    ``b``: 0 drops it, 1 makes it an isolating interval whose ``s`` is the
+    sign of its first nonzero ``b_i``, and 2 (the cap) splits it into the
+    halves of ``_halves``.  A right half whose first coefficient is 0 has
+    its root at the split point.  So a tree makes two ``compose_affine``
+    calls, whatever its size, and every count, split and sign is the one
+    the count form of the interval's own ``P`` gives.
     """
     bound = 1 << (cauchy_bound(q) - 1).bit_length()
     width = 2 * bound
+    m = q.degree
 
     def point(c: int, k: int) -> int:
         # the k-th level's c-th split point, times 2^k
         return width * c - (bound << k)
 
+    form = _count_form(_on_unit_interval(q, -bound, bound, 0))
+    fact = math.factorial
     exact: list[Fraction] = []
     intervals: list[tuple[int, int, int, int]] = []
-    todo = [(_on_unit_interval(q, -bound, bound, 0), 0, 0)]
+    todo = [([t * fact(i) * fact(m - i) for i, t in enumerate(form)], 0, 0)]
     while todo:
-        poly, c, k = todo.pop()
-        count = _roots_in_unit_interval(poly)
+        b, c, k = todo.pop()
+        count = _sign_variations(b)
         if count == 0:
             continue
         if count == 1:
-            low = next(a for a in reversed(poly) if a != 0)
+            low = next(x for x in b if x != 0)
             intervals.append((point(c, k), point(c + 1, k), k, 1 if low > 0 else -1))
             continue
-        left = compose_affine(poly, 1, 0, 2)
-        right = compose_affine(left, 1, 1, 1)
-        if right[-1] == 0:
+        left, right = _halves(b)
+        if right[0] == 0:
             exact.append(Fraction(point(2 * c + 1, k + 1), 1 << (k + 1)))
         todo.append((left, 2 * c, k + 1))
         todo.append((right, 2 * c + 1, k + 1))
@@ -956,8 +997,8 @@ def _hand_over(
     to go, so a bracket with the same sign of ``q`` at both ends, which
     holds no root or an even number of them, grows fourfold, at most
     ``BRACKET_GROWTHS`` times, without a Descartes transform.  The first
-    bracket whose end signs differ is handed over if Descartes' rule (as in
-    ``_isolate``) counts exactly one root in it.
+    bracket whose end signs differ is handed over if Descartes' rule, on the
+    count form of ``_count_form``, counts exactly one root in it.
     """
     n, d = sample
     if q.degree < p.degree:
@@ -989,7 +1030,7 @@ def _hand_over(
         if not s_lo or not s_hi:
             return None
         if s_lo != s_hi:
-            if _roots_in_unit_interval(_on_unit_interval(q, lo, hi, k)) == 1:
+            if _sign_variations(_count_form(_on_unit_interval(q, lo, hi, k))) == 1:
                 return _extract_bracket(q, lo, hi, k, s_lo, opts)
             return None
         num *= 4
@@ -1001,12 +1042,14 @@ def enumerate_real_roots(
 ) -> list[RootEstimate]:
     """Every distinct real root of ``p``, ascending; may be empty.
 
-    ``p`` is reduced to its square-free part ``q`` first, where a zero root
-    is simple and is deflated exactly.  Descartes bisection isolates each
-    real root of ``q`` in its own interval (or meets it exactly at a split
-    point), and ``_extract_bracket`` finishes each interval with the ratio
-    iteration.  A reported value is exact, or its root is certified by
-    exact signs of ``q`` to lie within ``|value| * 10^-target_digits`` of it.
+    ``p`` is reduced to its square-free part ``q`` first (``p`` itself when
+    one evaluation proves it square-free), where a zero root is simple and
+    is deflated exactly.  Descartes bisection in the Bernstein basis
+    isolates each real root of ``q`` in its own interval (or meets it
+    exactly at a split point), and ``_extract_bracket`` finishes each
+    interval with the ratio iteration.  A reported value is exact, or its
+    root is certified by exact signs of ``q`` to lie within
+    ``|value| * 10^-target_digits`` of it.
     """
     estimates: list[RootEstimate] = []
     q = _square_free(p)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import random
 import sys
 import time
 from contextlib import contextmanager
@@ -41,8 +42,9 @@ from seqroots.driver import (
 from seqroots.errors import OutOfRangeError, ZeroDenominatorError
 from seqroots.companion import iteration_matrix
 from seqroots.poly import (
-    MAX_DEGREE,
     MonicIntPolynomial,
+    cauchy_bound,
+    compose_affine,
     eval_homogeneous,
     eval_rational,
     reversed_monic,
@@ -57,6 +59,17 @@ CBRT2 = 2 ** (1 / 3)
 QUADRATIC = make_polynomial([1, 2, -1])
 CUBIC = make_polynomial([1, 0, 0, -2])
 
+
+def _chebyshev(n: int) -> list[int]:
+    """Descending coefficients of ``2*T_n(x/2)``, all ``n`` roots real."""
+    older, newer = [2], [1, 0]
+    for _ in range(n - 1):
+        older, newer = newer, [c - o for c, o in zip(newer + [0], [0, 0] + older)]
+    return newer
+
+
+#: A degree-64 draw of ``random.Random(64)``, coefficients in [-9, 9].
+RANDOM_64 = [1] + [random.Random(64).randint(-9, 9) for _ in range(64)]
 
 def _from_roots(roots) -> list[int]:
     """Descending coefficients of ``prod (x - r)``."""
@@ -1244,18 +1257,53 @@ class TestRepeatedDominantRoot:
 
 
 class TestSquareFreeScreen:
-    """``_square_free`` returns a ``p`` that is square-free modulo
-    ``SQUARE_FREE_PRIME`` as it is; every other ``p`` goes on to the
-    remainder sequence."""
+    """``_square_free`` returns ``p`` itself when one evaluation
+    (``_proved_square_free``) proves it square-free; every other ``p`` goes
+    on to the remainder sequence, which returns a square-free ``p`` itself
+    too."""
 
     def test_square_free_with_a_double_root_modulo_the_prime(self):
-        # x (x - P) is x^2 modulo P: the screen cannot tell, the remainder
-        # sequence finds a constant gcd
-        P = driver.SQUARE_FREE_PRIME
-        assert P > MAX_DEGREE
-        assert not driver._coprime_mod_prime([1, -P, 0], [2, -P])
-        p = make_polynomial([1, -P, 0])
+        # x (x - 32003) is x^2 modulo 32003: a gcd modulo that prime cannot
+        # tell it from a square, one evaluation proves it square-free
+        p = make_polynomial([1, -32003, 0])
+        with mock.patch.object(driver, "_pseudo_divide", side_effect=AssertionError):
+            assert _square_free(p) is p
+
+    @pytest.mark.parametrize(
+        "coeffs", [_chebyshev(30), RANDOM_64], ids=["2*T_30(x/2)", "random-64"])
+    def test_high_degree_takes_no_remainder_sequence(self, coeffs):
+        p = make_polynomial(coeffs)
+        with mock.patch.object(driver, "_pseudo_divide", side_effect=AssertionError):
+            assert _square_free(p) is p
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1, -32003, 0], [1, 0, -2], [1, 0, 0, -2], _chebyshev(20)])
+    def test_an_unproved_square_free_p_comes_back_itself(self, coeffs, monkeypatch):
+        # with the evaluation forced inconclusive, the remainder sequence
+        # finds a constant gcd
+        divisions = []
+        pseudo_divide = driver._pseudo_divide
+
+        def spy(a, b):
+            divisions.append(len(b))
+            return pseudo_divide(a, b)
+
+        monkeypatch.setattr(driver, "_proved_square_free", lambda p: False)
+        monkeypatch.setattr(driver, "_pseudo_divide", spy)
+        p = make_polynomial(coeffs)
         assert _square_free(p) is p
+        assert divisions
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        f=st.lists(st.integers(-20, 20), max_size=4),
+        g=st.lists(st.integers(-20, 20), min_size=1, max_size=3),
+    )
+    def test_a_repeated_factor_is_never_proved_square_free(self, f, g):
+        # the gcd of p(t) and p'(t) has the factor g(t), |g(t)| > t - R
+        product = sympy.Poly([1, *f], X) * sympy.Poly([1, *g], X) ** 2
+        p = make_polynomial([int(c) for c in product.all_coeffs()])
+        assert not driver._proved_square_free(p)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -1292,6 +1340,128 @@ class TestDescartesTransform:
         m = q.degree
         old = [c * width ** (m - i) for i, c in enumerate(mapped)]
         assert on_unit_interval(q, lo, lo + width, k) == old
+
+
+def _isolate_monomial(q: MonicIntPolynomial):
+    """Descartes bisection in the monomial basis: the reference ``_isolate``
+    must equal, list for list.  Each interval carries ``P`` itself, counts
+    the sign variations of ``(x+1)^m P(1/(x+1))``, and splits into
+    ``2^m P(x/2)`` and that polynomial shifted by 1, all by
+    ``compose_affine``.  Returns the exact points, the intervals and the
+    number of splits."""
+    bound = 1 << (cauchy_bound(q) - 1).bit_length()
+    width = 2 * bound
+
+    def point(c, k):
+        return width * c - (bound << k)
+
+    def count(desc):
+        signs = [c > 0 for c in compose_affine(desc[::-1], 1, 1, 1) if c != 0]
+        return min(2, sum(x != y for x, y in zip(signs, signs[1:])))
+
+    exact, intervals, splits = [], [], 0
+    todo = [(compose_affine(q.with_leading(), 2 * bound, -bound, 1), 0, 0)]
+    while todo:
+        poly, c, k = todo.pop()
+        n = count(poly)
+        if n == 0:
+            continue
+        if n == 1:
+            low = next(a for a in reversed(poly) if a != 0)
+            intervals.append((point(c, k), point(c + 1, k), k, 1 if low > 0 else -1))
+            continue
+        splits += 1
+        left = compose_affine(poly, 1, 0, 2)
+        right = compose_affine(left, 1, 1, 1)
+        if right[-1] == 0:
+            exact.append(Fraction(point(2 * c + 1, k + 1), 1 << (k + 1)))
+        todo.append((left, 2 * c, k + 1))
+        todo.append((right, 2 * c + 1, k + 1))
+    return exact, intervals, splits
+
+
+#: Named isolation cases: the number of splits of each tree, and of roots
+#: met exactly at a split point.
+ISOLATION_CASES = {
+    "2*T_20(x/2)": (_chebyshev(20), 45, 0),
+    # six of its roots are met exactly at split points
+    "wilkinson-12": (_from_roots(range(1, 13)), 34, 6),
+    # a close pair near 0.01
+    "x^10-2(100x-1)^2": ([1] + [0] * 7 + [-20000, 400, -2], 55, 0),
+}
+
+
+def _isolate_counted(q: MonicIntPolynomial, splits: int):
+    """``_isolate(q)`` and its number of splits, failing at once past
+    ``splits`` of them: a wrong halving can make the tree endless."""
+    halvings = []
+    halves = driver._halves
+
+    def split(b):
+        halvings.append(len(b))
+        assert len(halvings) <= splits, "more splits than the monomial form"
+        return halves(b)
+
+    with mock.patch.object(driver, "_halves", split):
+        return _isolate(q), len(halvings)
+
+
+class TestBernsteinIsolation:
+    """``_isolate`` carries Bernstein coefficients and returns what the
+    monomial form returns, in the same order, after as many splits, from
+    two ``compose_affine`` calls a tree."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=10),
+        t=st.fractions(0, 1, max_denominator=50),
+    )
+    def test_halves_are_the_bernstein_coefficients_of_each_half(self, b, t):
+        # B(x) = sum b_i C(m, i) x^i (1-x)^(m-i); the halves' coefficients
+        # describe 2^m B(x/2) and 2^m B((1+x)/2)
+        m = len(b) - 1
+
+        def bernstein(coeffs, x):
+            return sum(
+                c * math.comb(m, i) * x**i * (1 - x) ** (m - i) for i, c in enumerate(coeffs)
+            )
+
+        left, right = driver._halves(b)
+        assert bernstein(left, t) == 2**m * bernstein(b, t / 2)
+        assert bernstein(right, t) == 2**m * bernstein(b, (1 + t) / 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tail=st.lists(st.integers(-20, 20), min_size=2, max_size=12))
+    def test_matches_the_monomial_form(self, tail):
+        q = _square_free(make_polynomial([1, *tail]))
+        if q.degree < 2:
+            return
+        exact, intervals, splits = _isolate_monomial(q)
+        assert _isolate_counted(q, splits) == ((exact, intervals), splits)
+
+    @pytest.mark.parametrize(
+        "coeffs, splits, met", ISOLATION_CASES.values(), ids=ISOLATION_CASES.keys())
+    def test_named_cases_match_the_monomial_form(self, coeffs, splits, met):
+        q = make_polynomial(coeffs)
+        assert _square_free(q) is q
+        exact, intervals, made = _isolate_monomial(q)
+        assert (made, len(exact)) == (splits, met)
+        assert _isolate_counted(q, splits) == ((exact, intervals), splits)
+        assert len(exact) + len(intervals) == len(sympy.Poly(coeffs, X).real_roots())
+
+    @pytest.mark.parametrize("name", ["2*T_20(x/2)", "wilkinson-12"])
+    def test_a_tree_makes_two_transforms(self, name):
+        coeffs, splits, _ = ISOLATION_CASES[name]
+        transforms = []
+        original = driver.compose_affine
+
+        def transform(*args):
+            transforms.append(args[1:])
+            return original(*args)
+
+        with mock.patch.object(driver, "compose_affine", transform):
+            _, made = _isolate_counted(make_polynomial(coeffs), splits)
+        assert (len(transforms), made) == (2, splits)
 
 
 class TestSeedCollapse:
