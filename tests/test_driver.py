@@ -71,6 +71,7 @@ def _chebyshev(n: int) -> list[int]:
 #: A degree-64 draw of ``random.Random(64)``, coefficients in [-9, 9].
 RANDOM_64 = [1] + [random.Random(64).randint(-9, 9) for _ in range(64)]
 
+
 def _from_roots(roots) -> list[int]:
     """Descending coefficients of ``prod (x - r)``."""
     coeffs = [1]
