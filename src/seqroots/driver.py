@@ -656,10 +656,14 @@ def _square_free(p: MonicIntPolynomial) -> MonicIntPolynomial:
     """``p / gcd(p, p')``: the same roots, each simple.
 
     ``_proved_square_free`` decides most calls, and ``p`` is returned
-    itself.  Otherwise the gcd comes from a primitive remainder sequence in
-    integers.  It divides the monic ``p``, so by Gauss's lemma its primitive
-    part is monic, and so is the exact quotient; a square-free ``p`` the
-    evaluation did not prove is still returned itself.
+    itself: with ``R = cauchy_bound(p)`` and ``t`` a power of two above it
+    by 64 bits, a common factor ``g`` of ``p`` and ``p'`` would be monic,
+    divide both ``p(t)`` and ``p'(t)`` and have ``|g(t)| > t - R``, so a
+    gcd of the two below ``t - R`` rules it out.  Otherwise the gcd comes
+    from a primitive remainder sequence in integers.  It divides the monic
+    ``p``, so by Gauss's lemma its primitive part is monic, and so is the
+    exact quotient; a square-free ``p`` the evaluation did not prove is
+    still returned itself.
     """
     if _proved_square_free(p):
         return p
