@@ -89,9 +89,11 @@ largest shifted modulus is always attained on the convex hull of the root
 set), so each interval is finished through an auxiliary polynomial:
 recentering at the interval midpoint and reversing coefficients maps the
 nearest root to the dominant one, where the same ratio iteration applies.
-A round recentres the coefficient list and builds the first row of the
-reversed polynomial's companion from it, which ``SequenceFamily`` takes
-as its matrix: no polynomial object is built for a round.
+A round recentres the coefficient list, builds the first row ``top`` of
+the reversed polynomial's companion from it and steps
+``v -> (top . v, v_1, ..., v_(m-1))`` from ``e_1`` itself: no polynomial,
+matrix or ``SequenceFamily`` is built for a round, which takes about five
+steps and reads two components of each vector.
 Each sample the render prefilter admits is mapped back exactly and kept
 once exact signs of the polynomial place the root within the target
 precision of it.  Those signs are taken first at short dyadic points just
@@ -110,10 +112,10 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from operator import add, index as _as_int
+from operator import add, index as _as_int, mul
 from typing import Optional
 
-from .companion import IterationMatrix, iteration_matrix, mat_vec
+from .companion import iteration_matrix, mat_vec
 from .errors import OutOfRangeError, ZeroDenominatorError
 from .poly import (
     IDENTITY_SHIFT,
@@ -863,10 +865,14 @@ def _extract_bracket(
     ``K`` gives a monic polynomial whose dominant root is K / (v*r - u) for
     the root r nearest c, so the ratio iteration applies and a sample
     ``n/d`` maps back to ``(u + K*d/n) / v`` exactly.  A round builds that
-    polynomial's companion first row ``-(r_(m-1), r_(m-2)*K, ...,
-    r_1*K^(m-2), K^(m-1))`` straight from the list and hands it to
-    ``SequenceFamily`` through ``_matrix``, which still makes the ``m - 1``
-    start products.  Acceptance is the certificate alone: each
+    polynomial's companion first row ``top = -(r_(m-1), r_(m-2)*K, ...,
+    r_1*K^(m-2), K^(m-1))`` straight from the list and steps it itself:
+    from ``e_1`` each product is ``(top . v, v_1, ..., v_(m-1))``, the
+    ``m - 1`` start products first, then one a step.  A round is about
+    five steps, so a ``SequenceFamily`` built for it cost about as much as
+    the round.  Its peak bits are those of such a family: 1 for the seed,
+    then the widest first component, since the other components are
+    earlier first components.  Acceptance is the certificate alone: each
     sample ``_may_render_equal`` admits is mapped back, and one inside the
     bracket is kept once its nearest integer is a root of ``q`` (``exact``)
     or ``_certified`` holds; nothing is rendered, ``p`` is not evaluated
@@ -883,6 +889,7 @@ def _extract_bracket(
     scale = 10 ** (digits - 1)
     limit = min(EXTRACT_STEPS_PER_DIGIT * digits + 2 * TIE_SPAN, opts.max_iters)
     full = q.with_leading()
+    m = q.degree
     spent = 0
     peak = 0
     while True:
@@ -909,13 +916,19 @@ def _extract_bracket(
         # the first row of the reversed polynomial's companion,
         # -(r_(m-1), r_(m-2)*K, ..., r_1*K^(m-2), K^(m-1)); no collapse exit:
         # its last entry is nonzero, so the matrix is invertible
-        top, power = [], -1
+        row, power = [], -1
         for c in recentred[-2:0:-1]:
-            top.append(c * power)
+            row.append(c * power)
             power *= K
-        top.append(power)
-        family = SequenceFamily(None, _matrix=IterationMatrix(tuple(top), 0, 1))
-        vec = family.current
+        top = (*row, power)
+        # the m - 1 start products from e_1; the seed's peak is 1
+        vec = default_seed(m)
+        peak = max(peak, 1)
+        for _ in range(m - 1):
+            vec = (sum(map(mul, top, vec)), *vec[:-1])
+            bits = vec[0].bit_length()
+            if bits > peak:
+                peak = bits
         steps = pn = pd = 0
         # None until the round keeps a value
         estimator: Optional[str] = None
@@ -946,10 +959,12 @@ def _extract_bracket(
                 pn, pd = n, d
             if steps >= limit:
                 break
-            vec = family.step()
+            vec = (sum(map(mul, top, vec)), *vec[:-1])
+            bits = vec[0].bit_length()
+            if bits > peak:
+                peak = bits
             steps += 1
         spent += steps
-        peak = max(peak, family.peak_bits)
         if estimator is None:
             if not _certified(q, lo + hi, 1 << (k + 1), lo, hi, k, s_lo, digits):
                 continue

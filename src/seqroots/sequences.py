@@ -30,8 +30,11 @@ of ``shift_scale(p, shift)`` under the identity shift, started through the
 private ``_start`` from those first components, and carries the second
 component beside it.  The public family, and ``seqroots sequences
 --shift``, still step ``M`` whole.  An extraction round of
-``driver._extract_bracket`` hands the family its companion's first row,
-computed from a coefficient list, through the private ``_matrix``.
+``driver._extract_bracket`` builds no family: it steps the identity-shift
+product ``(top . v, v_1, ..., v_(m-1))`` on the first row of its reversed
+polynomial's companion itself.  A round takes about five steps and reads
+only two components of each vector, so a family's construction, window
+and per-step ``mat_vec`` call cost about as much as the round.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from itertools import islice
 from operator import index
 from typing import Optional, Sequence
 
-from .companion import IntVector, IterationMatrix, iteration_matrix, mat_vec
+from .companion import IntVector, iteration_matrix, mat_vec
 from .errors import (
     DimensionMismatchError,
     OutOfRangeError,
@@ -70,13 +73,8 @@ class SequenceFamily:
     caller: the family makes no start products, stores no earlier step and
     takes ``peak_bits`` from that vector alone.  A shifted run of
     ``driver._single_root`` starts its first-component family this way.
-
-    The private ``_matrix`` is the iteration matrix itself, made by the
-    caller: ``poly`` is then None, and ``degree`` and ``shift`` are read off
-    the matrix.  The family still makes its start products.  An extraction
-    round of ``driver._extract_bracket`` builds its family this way from the
-    first row of its reversed polynomial's companion, and so builds no
-    polynomial.
+    An extraction round of ``driver._extract_bracket`` builds no family: it
+    steps its own companion row (see the module docstring).
     """
 
     __slots__ = ("poly", "shift", "matrix", "degree", "j", "current", "peak_bits",
@@ -84,20 +82,17 @@ class SequenceFamily:
 
     def __init__(
         self,
-        poly: Optional[MonicIntPolynomial],
+        poly: MonicIntPolynomial,
         seed: Optional[Sequence[int]] = None,
         *,
         shift: AffineShift = IDENTITY_SHIFT,
         keep_history: bool = False,
         _start: Optional[IntVector] = None,
-        _matrix: Optional[IterationMatrix] = None,
     ) -> None:
-        matrix = iteration_matrix(poly, shift) if _matrix is None else _matrix
+        matrix = iteration_matrix(poly, shift)
         # under (0, 1) a step copies all components but the first
         copies = matrix.a == 0 and matrix.b == 1
-        if _matrix is not None:
-            shift = IDENTITY_SHIFT if copies else AffineShift(matrix.a, matrix.b)
-        m = len(matrix.top)
+        m = poly.degree
         products = m - 1
         if _start is not None:
             # the vector at step m - 1, already made by the caller

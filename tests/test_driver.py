@@ -40,7 +40,7 @@ from seqroots.driver import (
     _TieWindow,
 )
 from seqroots.errors import OutOfRangeError, ZeroDenominatorError
-from seqroots.companion import iteration_matrix
+from seqroots.companion import IterationMatrix, iteration_matrix
 from seqroots.poly import (
     MonicIntPolynomial,
     cauchy_bound,
@@ -1522,6 +1522,45 @@ class TestSeedCollapse:
         assert est.iterations > 0
 
 
+def _extraction_rounds(q, bracket, opts):
+    """Run ``_extract_bracket`` on one bracket of ``q``; return its estimate
+    and each round's recentred coefficient list, from the ``compose_affine``
+    call that starts the round, with the products ``top . v`` it made, as
+    ``(top, v)`` pairs read off its ``mul`` calls."""
+    rounds = []
+    compose = driver.compose_affine
+
+    def recentre(*args):
+        out = compose(*args)
+        rounds.append((out, []))
+        return out
+
+    def product(x, y):
+        rounds[-1][1].append((x, y))
+        return x * y
+
+    with (
+        mock.patch.object(driver, "compose_affine", recentre),
+        mock.patch.object(driver, "mul", product),
+    ):
+        est = extract_bracket(q, *bracket, opts)
+    m = q.degree
+    out = []
+    for desc, factors in rounds:
+        assert len(factors) % m == 0
+        products = [tuple(zip(*factors[i:i + m])) for i in range(0, len(factors), m)]
+        out.append((desc, products))
+    return est, out
+
+
+def _round_family(desc):
+    """The reference family of a round whose recentred list is ``desc``: the
+    reversed polynomial's, from ``e_1``, with every vector kept."""
+    return SequenceFamily(
+        reversed_monic(MonicIntPolynomial(tuple(desc[1:]))), keep_history=True
+    )
+
+
 class TestEstimateFields:
     def test_converged_digits_meet_target(self):
         opts = DriverOptions(target_digits=9)
@@ -1536,20 +1575,15 @@ class TestEstimateFields:
         # x^20 - 2(1000x - 1)^2: the root near -2.239 takes four extraction
         # runs, and the failed ones reach wider integers than the last
         q = make_polynomial([1] + [0] * 17 + [-2_000_000, 4000, -2])
-        families = []
-
-        def spy(*args, **kwargs):
-            family = SequenceFamily(*args, **kwargs)
-            families.append(family)
-            return family
-
         found = []
         for bracket in _isolate(q)[1]:
-            families.clear()
-            with mock.patch.object(driver, "SequenceFamily", spy):
-                est = extract_bracket(q, *bracket, DriverOptions())
-            # one family a run, each read after its run has ended
-            peaks = [family.peak_bits for family in families]
+            est, rounds = _extraction_rounds(q, bracket, DriverOptions())
+            # each round's peak is its reference family's after as many products
+            peaks = []
+            for desc, products in rounds:
+                family = _round_family(desc)
+                family.run_to(len(products))
+                peaks.append(family.peak_bits)
             assert est.peak_bits == max(peaks)
             found.append((est.value, est.decimal(), peaks[-1], len(peaks), est.peak_bits))
         assert min(found)[1:] == ("-2.23912721205", 1835, 4, 30569)
@@ -1558,36 +1592,28 @@ class TestEstimateFields:
         # x^10 - 2(100x - 1)^2 at 30 digits: a close pair, some rounds fail
         q = make_polynomial([1] + [0] * 7 + [-20000, 400, -2])
         opts = DriverOptions(target_digits=30)
-        recentred, rows = [], []
-        compose_affine = driver.compose_affine
-
-        def recentre(*args):
-            out = compose_affine(*args)
-            recentred.append(out)
-            return out
-
-        def family(*args, **kwargs):
-            made = SequenceFamily(*args, **kwargs)
-            rows.append((made.poly, made.matrix))
-            return made
-
         for bracket in _isolate(q)[1]:
             want = extract_bracket(q, *bracket, opts)
-            recentred.clear()
-            rows.clear()
             with (
-                mock.patch.object(driver, "compose_affine", recentre),
-                mock.patch.object(driver, "SequenceFamily", family),
+                mock.patch.object(SequenceFamily, "__init__", side_effect=AssertionError),
+                mock.patch.object(IterationMatrix, "__init__", side_effect=AssertionError),
                 mock.patch.object(MonicIntPolynomial, "__post_init__", side_effect=AssertionError),
                 mock.patch.object(AffineShift, "__post_init__", side_effect=AssertionError),
             ):
-                assert extract_bracket(q, *bracket, opts) == want
-            # each round's matrix is the companion of the reversed recentred
-            # polynomial, as reversed_monic builds it
-            assert len(rows) == len(recentred) >= 1
-            for desc, (poly, matrix) in zip(recentred, rows):
-                reversed_poly = reversed_monic(MonicIntPolynomial(tuple(desc[1:])))
-                assert poly is None and matrix == iteration_matrix(reversed_poly)
+                est, rounds = _extraction_rounds(q, bracket, opts)
+            assert est == want
+            assert rounds
+            # every product of a round is the first row of the reversed
+            # recentred polynomial's companion, as reversed_monic builds it,
+            # times the vector its family holds at that step
+            peaks = []
+            for desc, products in rounds:
+                family = _round_family(desc)
+                top = iteration_matrix(family.poly).top
+                family.run_to(len(products))
+                assert products == [(top, family.vector(j)) for j in range(len(products))]
+                peaks.append(family.peak_bits)
+            assert est.peak_bits == max(peaks)
 
     def test_repr_past_the_int_to_str_limit(self):
         # enumerate_real_roots(2*T_40(x/2)) returns fractions of about 20000

@@ -22,7 +22,7 @@ from seqroots import (
     ZeroSeedError,
     make_polynomial,
 )
-from seqroots.companion import IterationMatrix, iteration_matrix, mat_vec
+from seqroots.companion import IterationMatrix, mat_vec
 from seqroots.poly import shift_scale
 from seqroots.render import decimal_string
 
@@ -412,28 +412,9 @@ class TestStepEqualsMatrixOrbit:
             assert [fam.vector(j) for j in range(self.STEPS + 1)] == orbit
 
 
-class TestFamilyFromItsMatrix:
-    """The private ``_matrix`` takes the iteration matrix as made: a family
-    built from ``iteration_matrix(p, s)`` is the family of ``p`` under ``s``,
-    and the start products' running peak is the widest stored integer."""
-
-    STEPS = 30
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(family=_families(), keep_history=st.booleans())
-    def test_matches_the_family_of_its_polynomial(self, family, keep_history):
-        poly, shift, seed = family
-        want = SequenceFamily(poly, seed, shift=shift, keep_history=keep_history)
-        got = SequenceFamily(
-            None, seed, keep_history=keep_history, _matrix=iteration_matrix(poly, shift)
-        )
-        assert got.poly is None
-        assert (got.degree, got.shift, got.matrix) == (want.degree, shift, want.matrix)
-        for _ in range(self.STEPS):
-            assert (got.current, got.window, got.peak_bits) == (
-                want.current, want.window, want.peak_bits)
-            got.step()
-            want.step()
+class TestStartPeak:
+    """The start products' running peak is the widest integer the
+    constructor stores, from a given seed, the default seed or ``_start``."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(family=_families(), keep_history=st.booleans(), started=st.booleans())
