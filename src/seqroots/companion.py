@@ -60,26 +60,3 @@ def mat_vec(c: IterationMatrix, v: Sequence[int]) -> IntVector:
         return (sum(map(mul, top, v)), *v[:-1])
     return (sum(map(mul, top, v)), *[a * x + b * y for x, y in zip(v[1:], v)])
 
-
-def cayley_hamilton_residual(
-    p: MonicIntPolynomial, c: IterationMatrix
-) -> tuple[IntVector, ...]:
-    """Evaluate ``p`` at the matrix ``c`` by exact arithmetic.
-
-    For ``c = iteration_matrix(p)`` the result is the zero matrix (a matrix
-    satisfies its own characteristic polynomial).  Columns are built by
-    Horner steps using only matrix-vector products; no matrix power is
-    ever materialized.
-    """
-    m = len(c.top)
-    if m != p.degree:
-        raise DimensionMismatchError(f"matrix dim {m} != degree {p.degree}")
-    cols = []
-    for k in range(m):
-        basis = tuple(1 if i == k else 0 for i in range(m))
-        acc = basis
-        for a in p.coeffs:
-            acc = mat_vec(c, acc)
-            acc = tuple(x + a * e for x, e in zip(acc, basis))
-        cols.append(acc)
-    return tuple(tuple(cols[k][i] for k in range(m)) for i in range(m))

@@ -91,9 +91,11 @@ recentering at the interval midpoint and reversing coefficients maps the
 nearest root to the dominant one, where the same ratio iteration applies.
 A round recentres the coefficient list, builds the first row ``top`` of
 the reversed polynomial's companion from it and steps
-``v -> (top . v, v_1, ..., v_(m-1))`` from ``e_1`` itself: no polynomial,
-matrix or ``SequenceFamily`` is built for a round, which takes about five
-steps and reads two components of each vector.
+``v -> (top . v, v_1, ..., v_(m-1))`` from ``e_1`` itself, sampling from
+its first product: after ``j`` products the sample is König's iteration of
+order ``j + 1`` from the centre, the first a Newton step.  No polynomial,
+matrix or ``SequenceFamily`` is built for a round, which makes about seven
+products on the test corpus and reads two components of each vector.
 Each sample the render prefilter admits is mapped back exactly and kept
 once exact signs of the polynomial place the root within the target
 precision of it.  Those signs are taken first at short dyadic points just
@@ -164,7 +166,7 @@ class RootStatus(Enum):
 class DriverOptions:
     """``max_iters`` bounds a single-root run, a repeated root's restart
     included, and, separately, each extraction run: a handover may add the
-    extraction's steps (``x^2-9x+6`` under ``(-4, 1)`` converges at 41 of 40).
+    extraction's steps (``x^2-9x+6`` under ``(-4, 1)`` converges at 42 of 40).
     """
 
     target_digits: int = 12
@@ -867,12 +869,14 @@ def _extract_bracket(
     ``n/d`` maps back to ``(u + K*d/n) / v`` exactly.  A round builds that
     polynomial's companion first row ``top = -(r_(m-1), r_(m-2)*K, ...,
     r_1*K^(m-2), K^(m-1))`` straight from the list and steps it itself:
-    from ``e_1`` each product is ``(top . v, v_1, ..., v_(m-1))``, the
-    ``m - 1`` start products first, then one a step.  A round is about
-    five steps, so a ``SequenceFamily`` built for it cost about as much as
-    the round.  Its peak bits are those of such a family: 1 for the seed,
-    then the widest first component, since the other components are
-    earlier first components.  Acceptance is the certificate alone: each
+    from ``e_1`` each product is a step, ``(top . v, v_1, ..., v_(m-1))``,
+    and gives a sample.  After ``j`` products the sample is König's (1884)
+    iteration of order ``j + 1`` from the centre, the first a Newton step
+    (Householder 1970, ch. 4).  A round makes about seven products on the
+    test corpus, so a ``SequenceFamily`` built for it would cost about as
+    much as the round.  Its peak bits are 1 for the seed, then the widest
+    first component, since the other components are earlier first
+    components.  Acceptance is the certificate alone: each
     sample ``_may_render_equal`` admits is mapped back, and one inside the
     bracket is kept once its nearest integer is a root of ``q`` (``exact``)
     or ``_certified`` holds; nothing is rendered, ``p`` is not evaluated
@@ -882,8 +886,8 @@ def _extract_bracket(
     ``2 * TIE_SPAN``, and a round that keeps none tightens the bracket and
     repeats.  Should the bracket pin the root down before any round does,
     its centre is reported as a bisection estimate, so every call returns a
-    root.  Every return reports the steps and the peak bits of all its
-    rounds.
+    root.  Every return reports as its steps every product of all its
+    rounds, and their peak bits.
     """
     digits = opts.target_digits
     scale = 10 ** (digits - 1)
@@ -921,14 +925,9 @@ def _extract_bracket(
             row.append(c * power)
             power *= K
         top = (*row, power)
-        # the m - 1 start products from e_1; the seed's peak is 1
+        # from e_1, whose peak is 1
         vec = default_seed(m)
         peak = max(peak, 1)
-        for _ in range(m - 1):
-            vec = (sum(map(mul, top, vec)), *vec[:-1])
-            bits = vec[0].bit_length()
-            if bits > peak:
-                peak = bits
         steps = pn = pd = 0
         # None until the round keeps a value
         estimator: Optional[str] = None

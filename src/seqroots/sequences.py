@@ -32,9 +32,11 @@ component beside it.  The public family, and ``seqroots sequences
 --shift``, still step ``M`` whole.  An extraction round of
 ``driver._extract_bracket`` builds no family: it steps the identity-shift
 product ``(top . v, v_1, ..., v_(m-1))`` on the first row of its reversed
-polynomial's companion itself.  A round takes about five steps and reads
-only two components of each vector, so a family's construction, window
-and per-step ``mat_vec`` call cost about as much as the round.
+polynomial's companion itself, from ``e_1``, and samples from its first
+product, where a family would make ``m - 1`` start products first.  A
+round makes about seven products on the test corpus and reads only two
+components of each vector, so a family's construction, window and
+per-step ``mat_vec`` call would cost about as much as the round.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared fixtures: seeded random polynomial corpora.
+"""Shared fixtures: seeded random polynomial corpora, and ``chebyshev``.
 
 The corpus is drawn once per session from a fixed seed, then filtered by
 the floating-point reference solver: it keeps monic polynomials of degree
@@ -6,7 +6,8 @@ the floating-point reference solver: it keeps monic polynomials of degree
 reference root set, and a dominant root that stands out by modulus factor
 1.05 or more.  A sub-corpus keeps only polynomials whose roots are all
 real and pairwise well separated, where real-root enumeration must be
-complete.
+complete.  ``chebyshev(n)`` is ``2*T_n(x/2)``, the high-degree case of the
+golden records and the enumeration tests.
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ def build_corpus(count: int = CORPUS_SIZE, seed: int = CORPUS_SEED) -> list[Corp
             continue
         entries.append(CorpusEntry(poly, roots, gap))
     return entries
+
+
+def chebyshev(n: int) -> MonicIntPolynomial:
+    """``2*T_n(x/2)``: monic, integer, all ``n`` roots real and clustered at
+    the ends of (-2, 2)."""
+    older, newer = [2], [1, 0]
+    for _ in range(n - 1):
+        padded = [0, 0] + older
+        older, newer = newer, [c - o for c, o in zip(newer + [0], padded)]
+    return make_polynomial(newer)
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from test_sequences import dense_matrix, dense_product
 
 from seqroots import AffineShift, DimensionMismatchError, make_polynomial
-from seqroots.companion import (
-    IterationMatrix,
-    cayley_hamilton_residual,
-    iteration_matrix,
-    mat_vec,
-)
+from seqroots.companion import IterationMatrix, iteration_matrix, mat_vec
 from seqroots.poly import shift_scale
 
 
@@ -23,6 +18,22 @@ def dense_by_products(c):
     """The dense rows of ``c``, from the products of the basis vectors."""
     m = len(c.top)
     cols = [mat_vec(c, tuple(int(i == k) for i in range(m))) for k in range(m)]
+    return tuple(tuple(col[i] for col in cols) for i in range(m))
+
+
+def cayley_hamilton_residual(p, c):
+    """``p`` evaluated at the matrix ``c``, exactly: the zero matrix when
+    ``p`` is the characteristic polynomial of ``c``.  Each column ``p(c) e_k``
+    is built by Horner's scheme from ``mat_vec`` products alone, so no
+    matrix power is formed."""
+    m = len(c.top)
+    cols = []
+    for k in range(m):
+        basis = tuple(int(i == k) for i in range(m))
+        acc = basis
+        for a in p.coeffs:
+            acc = tuple(x + a * e for x, e in zip(mat_vec(c, acc), basis))
+        cols.append(acc)
     return tuple(tuple(col[i] for col in cols) for i in range(m))
 
 

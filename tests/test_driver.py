@@ -53,19 +53,13 @@ from seqroots.poly import (
 from seqroots.render import EXACT_AGREEMENT, decimal_string
 from seqroots.sequences import SequenceFamily
 
+from conftest import chebyshev
+
 SQRT2 = math.sqrt(2)
 CBRT2 = 2 ** (1 / 3)
 
 QUADRATIC = make_polynomial([1, 2, -1])
 CUBIC = make_polynomial([1, 0, 0, -2])
-
-
-def _chebyshev(n: int) -> list[int]:
-    """Descending coefficients of ``2*T_n(x/2)``, all ``n`` roots real."""
-    older, newer = [2], [1, 0]
-    for _ in range(n - 1):
-        older, newer = newer, [c - o for c, o in zip(newer + [0], [0, 0] + older)]
-    return newer
 
 
 #: A degree-64 draw of ``random.Random(64)``, coefficients in [-9, 9].
@@ -293,9 +287,10 @@ class TestEnumerateRealRoots:
             assert abs(got - want) < 1e-8
 
     def test_run_budget_too_small_still_certifies(self):
-        # one step per run gives two samples; once the bracket has narrowed
-        # enough, the second one's mapped-back root passes the certificate
-        roots = enumerate_real_roots(QUADRATIC, DriverOptions(max_iters=1))
+        # a round's first two products from e_1 give its first two samples;
+        # once the bracket has narrowed enough, the second one's mapped-back
+        # root passes the certificate
+        roots = enumerate_real_roots(QUADRATIC, DriverOptions(max_iters=2))
         assert [e.estimator for e in roots] == ["cross-ratio", "cross-ratio"]
         assert abs(float(roots[0].value) - (-1 - SQRT2)) < 1e-10
         assert abs(float(roots[1].value) - (-1 + SQRT2)) < 1e-10
@@ -313,6 +308,17 @@ class TestEnumerateRealRoots:
             assert (est.status, est.estimator, est.iterations) == (
                 RootStatus.CONVERGED, "bisection", 792)
             assert _certified_by_signs(q, est.value, 12)
+
+    def test_high_degree_rounds_sample_from_their_first_product(self):
+        # 2*T_40(x/2): forty real roots clustered at the ends of (-2, 2).  A
+        # round samples from its first product from e_1; making the m - 1 = 39
+        # products first would widen its integers to 20680 bits
+        q = chebyshev(40)
+        got = enumerate_real_roots(q, DriverOptions(target_digits=12))
+        assert len(got) == 40
+        assert all(e.status is RootStatus.CONVERGED for e in got)
+        assert all(_certified_by_signs(q, e.value, 12) for e in got)
+        assert max(e.peak_bits for e in got) <= 4096
 
     def test_mixed_real_and_complex(self):
         # (x-2)(x^2+x+1): one real root among a complex pair
@@ -746,7 +752,7 @@ class TestIntegerAcceptanceChecks:
         assert len(checked) == 1
         assert len(calls) == 1
         assert (est.status, est.iterations, est.decimal()) == (
-            RootStatus.CONVERGED, 40, "-2.41421356237")
+            RootStatus.CONVERGED, 41, "-2.41421356237")
 
 
 def _run_pairs(p, s, opts):
@@ -900,7 +906,7 @@ class TestRegressionPins:
     """
 
     @pytest.mark.parametrize(
-        "digits, steps", [(12, 39), (30, 41), (60, 43), (120, 47)]
+        "digits, steps", [(12, 39), (30, 43), (60, 45), (120, 49)]
     )
     def test_cube_root_via_shift_steps(self, digits, steps):
         est = root_via_shift(CUBIC, AffineShift(1, 1), DriverOptions(target_digits=digits))
@@ -919,7 +925,7 @@ class TestRegressionPins:
         # contract, so the run is handed over and certified
         p = make_polynomial([1, -8, 4, -3, 8, 6])
         est = root_via_shift(p, AffineShift(-4, 1))
-        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 100)
+        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 104)
         assert est.decimal() == "-0.511774915115"
         root = Fraction("-0.5117749151150427776140")
         assert abs(est.value - root) <= abs(root) / 10**12
@@ -929,12 +935,12 @@ class TestRegressionPins:
         [
             # the root is -0.58826039542853...: the linear run used to settle
             # on -0.588260395423
-            ([1, -7, 6, 5, 0, -3, -2], (-3, 1), "-0.588260395429", 40, 348),
-            ([1, -2, -8, 1, 4, 9, 6], (-1, 1), "-2.04017544283", 41, 223),
-            ([1, -1, 1, -1, -2], None, "1.44685724791", 45, 126),
+            ([1, -7, 6, 5, 0, -3, -2], (-3, 1), "-0.588260395429", 44, 290),
+            ([1, -2, -8, 1, 4, 9, 6], (-1, 1), "-2.04017544283", 46, 223),
+            ([1, -1, 1, -1, -2], None, "1.44685724791", 48, 126),
             # the root is -3.092384161748...: the linear run used to settle
             # on -3.09238416176 after 75 steps
-            ([1, 4, 1, -3, 8], None, "-3.09238416175", 40, 327),
+            ([1, 4, 1, -3, 8], None, "-3.09238416175", 42, 246),
         ],
     )
     def test_long_runs_keep_steps_and_peak_bits(self, coeffs, shift, rendered, steps, bits):
@@ -947,7 +953,7 @@ class TestRegressionPins:
         # images 1 + sqrt(2) and 1 - sqrt(2): each step earns 0.77 digits, and
         # the linear run used to take 223 steps to settle at 170 digits
         est = _run([1, 0, -2], (1, 1), 170)
-        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 45)
+        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 46)
 
     def test_wide_bracket_degree_11_at_30_digits(self):
         # (x+19)(x+20)^2(x+10)^3 (x^5+32x^4-6x^3-23x^2-23x-39): a wide first
@@ -958,10 +964,10 @@ class TestRegressionPins:
         with mock.patch.object(driver, "_TieWindow", side_effect=AssertionError):
             got = enumerate_real_roots(make_polynomial(coeffs), DriverOptions(target_digits=30))
         assert [(e.estimator, e.iterations, e.peak_bits) for e in got] == [
-            ("cross-ratio", 14, 819),
+            ("cross-ratio", 21, 819),
             *[("exact", 0, 0)] * 3,
-            ("cross-ratio", 21, 1113),
-            ("cross-ratio", 457, 14072),
+            ("cross-ratio", 28, 1113),
+            ("cross-ratio", 464, 13484),
         ]
         assert_exact_real_roots(coeffs, got, digits=30)
 
@@ -1075,7 +1081,7 @@ class TestHandover:
         (q, lo, hi, k, s_lo, _), extracted = calls[0]
         assert est.iterations - extracted.iterations == 39
         assert (est.status, est.iterations, est.estimator) == (
-            RootStatus.CONVERGED, 40, "cross-ratio")
+            RootStatus.CONVERGED, 41, "cross-ratio")
         assert _certified(q, est.value.numerator, est.value.denominator, lo, hi, k, s_lo, 12)
 
     def test_extraction_runs_on_its_own_budget(self):
@@ -1086,7 +1092,7 @@ class TestHandover:
                 make_polynomial([1, -9, 6]), AffineShift(-4, 1), DriverOptions(max_iters=40)
             )
         assert len(calls) == 1
-        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 41)
+        assert (est.status, est.iterations) == (RootStatus.CONVERGED, 42)
 
     def test_equal_end_signs_grow_the_bracket_without_descartes(self, monkeypatch):
         # x^4-2x^3-x^2-8x-8: the first handover bracket has the same sign at
@@ -1229,7 +1235,7 @@ class TestRepeatedDominantRoot:
             ([1, -5, 3, 9], 65, "3.00000000000"),
             # (x-3)^2 (x+2): the restart reaches its first checkpoint, where
             # it is handed over and meets 3 exactly
-            ([1, -4, -3, 18], 80, "3"),
+            ([1, -4, -3, 18], 81, "3"),
         ],
     )
     def test_a_call_screens_for_repeated_roots_once(self, coeffs, steps, rendered):
@@ -1271,14 +1277,14 @@ class TestSquareFreeScreen:
             assert _square_free(p) is p
 
     @pytest.mark.parametrize(
-        "coeffs", [_chebyshev(30), RANDOM_64], ids=["2*T_30(x/2)", "random-64"])
+        "coeffs", [list(chebyshev(30).with_leading()), RANDOM_64], ids=["2*T_30(x/2)", "random-64"])
     def test_high_degree_takes_no_remainder_sequence(self, coeffs):
         p = make_polynomial(coeffs)
         with mock.patch.object(driver, "_pseudo_divide", side_effect=AssertionError):
             assert _square_free(p) is p
 
     @pytest.mark.parametrize(
-        "coeffs", [[1, -32003, 0], [1, 0, -2], [1, 0, 0, -2], _chebyshev(20)])
+        "coeffs", [[1, -32003, 0], [1, 0, -2], [1, 0, 0, -2], list(chebyshev(20).with_leading())])
     def test_an_unproved_square_free_p_comes_back_itself(self, coeffs, monkeypatch):
         # with the evaluation forced inconclusive, the remainder sequence
         # finds a constant gcd
@@ -1384,7 +1390,7 @@ def _isolate_monomial(q: MonicIntPolynomial):
 #: Named isolation cases: the number of splits of each tree, and of roots
 #: met exactly at a split point.
 ISOLATION_CASES = {
-    "2*T_20(x/2)": (_chebyshev(20), 45, 0),
+    "2*T_20(x/2)": (list(chebyshev(20).with_leading()), 45, 0),
     # six of its roots are met exactly at split points
     "wilkinson-12": (_from_roots(range(1, 13)), 34, 6),
     # a close pair near 0.01
@@ -1561,6 +1567,16 @@ def _round_family(desc):
     )
 
 
+def _round_peak(family, products):
+    """The peak bits of a round that made ``products`` products from
+    ``e_1``, read off its reference family: 1 for the seed, then each
+    product's first component.  The family's own ``peak_bits`` also counts
+    the ``m - 1`` products it makes on construction, which a round may not
+    reach."""
+    family.run_to(products)
+    return max(family.vector(j)[0].bit_length() for j in range(products + 1))
+
+
 class TestEstimateFields:
     def test_converged_digits_meet_target(self):
         opts = DriverOptions(target_digits=9)
@@ -1578,15 +1594,11 @@ class TestEstimateFields:
         found = []
         for bracket in _isolate(q)[1]:
             est, rounds = _extraction_rounds(q, bracket, DriverOptions())
-            # each round's peak is its reference family's after as many products
-            peaks = []
-            for desc, products in rounds:
-                family = _round_family(desc)
-                family.run_to(len(products))
-                peaks.append(family.peak_bits)
+            # each round's peak is its reference family's over as many products
+            peaks = [_round_peak(_round_family(desc), len(products)) for desc, products in rounds]
             assert est.peak_bits == max(peaks)
             found.append((est.value, est.decimal(), peaks[-1], len(peaks), est.peak_bits))
-        assert min(found)[1:] == ("-2.23912721205", 1835, 4, 30569)
+        assert min(found)[1:] == ("-2.23912721205", 1835, 4, 25149)
 
     def test_a_round_steps_the_reversed_companion_row_and_builds_no_polynomial(self):
         # x^10 - 2(100x - 1)^2 at 30 digits: a close pair, some rounds fail
@@ -1610,9 +1622,8 @@ class TestEstimateFields:
             for desc, products in rounds:
                 family = _round_family(desc)
                 top = iteration_matrix(family.poly).top
-                family.run_to(len(products))
+                peaks.append(_round_peak(family, len(products)))
                 assert products == [(top, family.vector(j)) for j in range(len(products))]
-                peaks.append(family.peak_bits)
             assert est.peak_bits == max(peaks)
 
     def test_repr_past_the_int_to_str_limit(self):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,8 @@ from seqroots import (
     root_via_shift,
 )
 
+from conftest import build_corpus, chebyshev
+
 DATA = Path(__file__).resolve().parent / "data"
 DIGITS = (12, 30)
 #: Shifts that make a smaller root dominate: most of these runs are slow
@@ -43,16 +44,6 @@ ENTRIES = {
     "enumerate_real_roots": (enumerate_real_roots, "simple_real_corpus"),
     "enumerate_high_degree": (enumerate_real_roots, "high_degree"),
 }
-
-
-def chebyshev(n: int) -> MonicIntPolynomial:
-    """``2*T_n(x/2)``: monic, integer, all ``n`` roots real and clustered at
-    the ends of (-2, 2)."""
-    older, newer = [2], [1, 0]
-    for _ in range(n - 1):
-        padded = [0, 0] + older
-        older, newer = newer, [c - o for c, o in zip(newer + [0], padded)]
-    return make_polynomial(newer)
 
 
 def high_degree() -> list[MonicIntPolynomial]:
@@ -128,9 +119,6 @@ def test_every_field_matches_the_stored_records(entry, corpus):
 
 
 def write() -> None:
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import build_corpus
-
     corpus = build_corpus()
     DATA.mkdir(exist_ok=True)
     for entry in ENTRIES:
