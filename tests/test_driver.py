@@ -1277,14 +1277,19 @@ class TestSquareFreeScreen:
             assert _square_free(p) is p
 
     @pytest.mark.parametrize(
-        "coeffs", [list(chebyshev(30).with_leading()), RANDOM_64], ids=["2*T_30(x/2)", "random-64"])
+        "coeffs",
+        [list(chebyshev(30).with_leading()), RANDOM_64],
+        ids=["2*T_30(x/2)", "random-64"],
+    )
     def test_high_degree_takes_no_remainder_sequence(self, coeffs):
         p = make_polynomial(coeffs)
         with mock.patch.object(driver, "_pseudo_divide", side_effect=AssertionError):
             assert _square_free(p) is p
 
     @pytest.mark.parametrize(
-        "coeffs", [[1, -32003, 0], [1, 0, -2], [1, 0, 0, -2], list(chebyshev(20).with_leading())])
+        "coeffs",
+        [[1, -32003, 0], [1, 0, -2], [1, 0, 0, -2], list(chebyshev(20).with_leading())],
+    )
     def test_an_unproved_square_free_p_comes_back_itself(self, coeffs, monkeypatch):
         # with the evaluation forced inconclusive, the remainder sequence
         # finds a constant gcd
