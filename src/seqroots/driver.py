@@ -27,15 +27,14 @@ sign is finished, if Descartes' rule counts exactly one root in it, by
 the same extraction enumeration uses (below), which runs the recurrence
 afresh on the reversed polynomial recentred near the convergent.  That
 is the integer analogue of shift-and-invert iteration: it converges
-super-linearly, and its value is certified.  A repeated
-dominant root converges like ``1/k``, so no bracket holds it: a
-polynomial with a repeated root instead starts over on its square-free
-part at the first handover point, under the same shift, and a tie found
-there ends the run as a tie.  A call screens for repeated roots once: the
-restart is handed its square-free part.  If the second run's steps run
-out, it reports whichever of its last sample and the handed-over one has
-the smaller exact ``|q(x)|`` on the square-free part ``q``.  A run that ends
-at its budget, like a tie, reports 0 certified digits.
+super-linearly, and its value is certified.  A repeated dominant root
+converges like ``1/k``, so no bracket would hold it: ``dominant_root`` and
+``root_via_shift`` therefore run on the square-free part of ``p`` from the
+start (``p`` itself when one evaluation proves it square-free), which has
+the same distinct roots, each simple, so the same root dominates or the
+same tie shows.  A call screens for repeated roots once, before its first
+step.  A run that ends at its budget, like a tie, reports 0 certified
+digits.
 
 ``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``,
 whose loop renders, checks, tests for ties and hands over.  Its samples
@@ -47,15 +46,15 @@ obey by Cayley-Hamilton, and carries ``y_(j+1) = a*y_j + b*x_j``: ``m + 2``
 products a step instead of the ``3m - 2`` of the whole vector, on the same
 integers.  An extraction run has its own loop too, in
 ``_extract_bracket``: it takes samples the same way, accepts on the
-certificate alone and tests for no tie.  Two cases prove their root before
-any step, and return it exactly with 0 iterations: a
-nilpotent shifted matrix, ``p = (x-r)^m`` with ``a + b*r = 0``, whose
-root is ``-a/b`` (every seed would collapse to the zero vector), and
-degree 1, whose root is ``-a_1``.  Every root known exactly, there or in
-enumeration, is reported one way: converged, estimator ``exact``.  Root
-0's eigenvector has no first two components to read, so ``root_via_shift``
-runs a ``p`` with roots 0 and others, under ``a != 0``, with its zero
-roots divided out and decides from that run's root whether 0 dominates.
+certificate alone and tests for no tie.  A square-free part of degree 1,
+``x - r``, proves its root before any step, and returns it exactly with 0
+iterations: ``p = (x-r)^m`` is one, under every shift, the nilpotent
+``a + b*r = 0`` included (every seed would collapse to the zero vector
+there).  Every root known exactly, there or in enumeration, is reported
+one way: converged, estimator ``exact``.  Root 0's eigenvector has no
+first two components to read, so ``root_via_shift`` runs a square-free
+part with roots 0 and others, under ``a != 0``, with its zero root divided
+out and decides from that run's root whether 0 dominates.
 
 The loops around the recurrence stay in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
@@ -164,9 +163,9 @@ class RootStatus(Enum):
 
 @dataclass(frozen=True)
 class DriverOptions:
-    """``max_iters`` bounds a single-root run, a repeated root's restart
-    included, and, separately, each extraction run: a handover may add the
-    extraction's steps (``x^2-9x+6`` under ``(-4, 1)`` converges at 42 of 40).
+    """``max_iters`` bounds a single-root run, on the square-free part, and,
+    separately, each extraction run: a handover may add the extraction's
+    steps (``x^2-9x+6`` under ``(-4, 1)`` converges at 42 of 40).
     """
 
     target_digits: int = 12
@@ -358,20 +357,12 @@ def _successive_ok(
 
 
 def _single_root(
-    p: MonicIntPolynomial,
-    s: AffineShift,
-    opts: DriverOptions,
-    budget: Optional[int] = None,
-    q: Optional[MonicIntPolynomial] = None,
+    p: MonicIntPolynomial, s: AffineShift, opts: DriverOptions
 ) -> RootEstimate:
-    """The one run behind ``dominant_root`` and ``root_via_shift``, and a
-    repeated root's restart, which passes the ``budget`` left and its own
-    ``p`` as the square-free part ``q``: the vectors ``S_j`` of ``p`` under
-    ``s`` from the default seed, stepped until convergence, tie, handover
-    or budget end.
-
-    ``a*I + b*C`` is nilpotent when its characteristic polynomial
-    ``shift_scale(p, s)`` is ``x^m``.
+    """The one run behind ``dominant_root`` and ``root_via_shift``, on a
+    square-free ``p``: the vectors ``S_j`` of ``p`` under ``s`` from the
+    default seed, stepped until convergence, tie, handover or budget end.
+    A ``p`` of degree 1 returns its root exactly, with 0 iterations.
 
     A sample reads only the first two components ``(x_j, y_j)`` of
     ``S_j``.  Under the identity shift the run steps the family of ``p``,
@@ -385,12 +376,13 @@ def _single_root(
     the ``y_j``.
 
     The cross ratios approach a root of ``p``.  A value whose rendering has
-    settled is accepted if its residual passes (``_residual_ok``) and the
-    step-over-step ratio agrees with it (``_successive_ok``).  A rendering
-    that fails either check is remembered and not checked again, and the
-    run goes on to its tie test.  ``budget`` caps steps below
-    ``opts.max_iters`` if given.  A run that ends at its budget, like a
-    tie, reports 0 digits: no digit of its last sample is certified.
+    settled is accepted if its residual passes (``_residual_ok``) and, in a
+    shifted run, the step-over-step ratio agrees with it
+    (``_successive_ok``).  An unshifted run's step ratio ``x_j / x_(j-1)``
+    is its sample itself, which cannot disagree.  A rendering that fails
+    a check is remembered and not checked again, and the run goes on to
+    its tie test.  A run that ends at ``opts.max_iters`` steps, like a tie,
+    reports 0 digits: no digit of its last sample is certified.
 
     A step reads its sample as an integer pair and appends it to the block
     of the exact ``_TieWindow``, which decides at every ``TIE_SPAN``-th
@@ -402,20 +394,14 @@ def _single_root(
     ``Fraction`` is built only for a value that is checked, returned or
     reported as a tie.
 
-    At each checkpoint that did not tie, the last sample, the two blocks'
-    spreads and the steps left go to ``_hand_over``, with the square-free
-    part ``q`` of ``p``, built at the first such checkpoint unless given.
-    The first estimate it returns ends the run with that estimate's status
-    (the run on the square-free part may tie), its steps and peak bits
-    added to the run's own.
+    At each checkpoint that did not tie, the last sample and the two
+    blocks' spreads go to ``_hand_over``.  The first estimate it returns
+    ends the run, its steps and peak bits added to the run's own.
     """
     m, a, b = p.degree, s.a, s.b
-    shifted = a != 0 or b != 1
-    image = shift_scale(p, s) if shifted else p
-    if not any(image.coeffs):
-        return _exact_estimate(Fraction(-a, b), s, opts)
     if m == 1:
         return _exact_estimate(Fraction(-p.coeffs[0]), s, opts)
+    shifted = a != 0 or b != 1
     if shifted:
         matrix = iteration_matrix(p, s)
         start = [default_seed(m)]
@@ -423,14 +409,14 @@ def _single_root(
             start.append(mat_vec(matrix, start[-1]))
         # the widest integer of the start vectors, then of every y
         peak = max(map(int.bit_length, chain.from_iterable(start)))
-        family = SequenceFamily(image, _start=tuple(v[0] for v in reversed(start)))
+        family = SequenceFamily(shift_scale(p, s), _start=tuple(v[0] for v in reversed(start)))
         y = start[-1][1]
     else:
         family = SequenceFamily(p)
         peak = 0
         y = family.current[1]
     vec = family.current
-    limit = opts.max_iters if budget is None else min(budget, opts.max_iters)
+    limit = opts.max_iters
     digits = opts.target_digits
     scale = 10 ** (digits - 1)
     steps = 0
@@ -463,12 +449,13 @@ def _single_root(
                 run_length = run_length + 1 if _renders_equal(rendering, last_render) else 1
                 if run_length >= RENDER_WINDOW and not _renders_equal(rendering, rejected_render):
                     value = Fraction(n, d)
+                    # Unshifted, the step ratio x_j / x_(j-1) is the sample.
                     # pn = 0 (a shifted run's x_(j-1) = 0): the settled value
                     # is 0, and the whole vector's step ratio is
                     # y_j / y_(j-1) = a = a + b*0 exactly.  The family holds
                     # no y, and its ratios would skip to older x.
                     if _residual_ok(p, value, digits) and (
-                        not pn or _successive_ok(family, s, value, digits)
+                        not shifted or not pn or _successive_ok(family, s, value, digits)
                     ):
                         return RootEstimate(
                             value,
@@ -503,9 +490,7 @@ def _single_root(
                         max(peak, family.peak_bits),
                     )
                 due = tie.due
-                if q is None:
-                    q = _square_free(p)
-                est = _hand_over(p, q, s, opts, last, *tie.spreads(), limit - steps)
+                est = _hand_over(p, opts, last, *tie.spreads())
                 if est is not None:
                     return replace(
                         est,
@@ -525,8 +510,8 @@ def _single_root(
                 max(peak, family.peak_bits),
             )
         # No collapse exit: the default seed reaches the zero vector only
-        # under a nilpotent matrix, screened out above (the repeated-root
-        # restart included).
+        # under a nilpotent matrix, and a square-free p of degree 2 or more
+        # has two distinct roots, so no a + b*r vanishes at both.
         x = vec[0]
         vec = family.step()
         steps += 1
@@ -545,11 +530,12 @@ def dominant_root(
     """Estimate the root of strictly largest absolute value.
 
     Reports TieDetected when no such root exists (equal-modulus pair) and
-    MaxItersExceeded when the budget runs out first.  ``p = x^m`` (a
-    nilpotent companion matrix) and degree 1 return their root exactly,
-    with 0 iterations.
+    MaxItersExceeded when the budget runs out first.  The run is on the
+    square-free part of ``p``, where a repeated root is simple: one of
+    degree 1, as that of ``p = (x-r)^m``, returns its root exactly, with 0
+    iterations.
     """
-    return _single_root(p, IDENTITY_SHIFT, opts)
+    return _single_root(_square_free(p), IDENTITY_SHIFT, opts)
 
 
 def root_via_shift(
@@ -561,28 +547,26 @@ def root_via_shift(
     ``p``, so cross ratios converge straight to the original root; the
     step-over-step ratio is an independent consistency check at acceptance
     (it must approach ``a + b*value``, or the value is rejected and the run
-    goes on).  Statuses are those of
-    ``dominant_root``.  ``p = (x-r)^m`` with ``a + b*r = 0`` makes the
-    shifted matrix nilpotent: its root ``-a/b`` is returned exactly, with
-    0 iterations, as is the root of a degree-1 ``p``.
+    goes on).  Statuses are those of ``dominant_root``, and as there the
+    run is on the square-free part ``q`` of ``p``: one of degree 1, as that
+    of ``p = (x-r)^m``, returns its root exactly, with 0 iterations, the
+    nilpotent shift ``a + b*r = 0`` included.
 
     Samples read the first two components, and root 0's eigenvector
-    ``(0, ..., 0, 1)`` has none to read, so for ``a != 0`` a ``p`` with
-    roots 0 and others runs on ``q``, ``p`` with every zero root divided
-    out.  If ``q`` converges to ``r``, 0 dominates iff ``|a| > |a + b*r|``,
+    ``(0, ..., 0, 1)`` has none to read, so for ``a != 0`` a ``q`` with
+    roots 0 and others runs with its zero root, a simple one, divided out.
+    If that run converges to ``r``, 0 dominates iff ``|a| > |a + b*r|``,
     that is iff ``r`` lies strictly between 0 and ``t = -2a/b``.  When every
     point within ``|r| * 10^-digits`` of ``r`` does, the root is exactly 0,
-    reported with ``q``'s iterations and peak bits; when none does, it is
-    ``q``'s estimate; otherwise the two images are too close to tell apart,
-    and the call reports a tie.  A tie or a budget end of ``q`` is the
-    call's.
+    reported with the run's iterations and peak bits; when none does, it is
+    the run's estimate; otherwise the two images are too close to tell
+    apart, and the call reports a tie.  A tie or a budget end of the run is
+    the call's.
     """
-    coeffs = p.coeffs
-    if s.a == 0 or coeffs[-1] or not any(coeffs):
-        return _single_root(p, s, opts)
-    while not coeffs[-1]:
-        coeffs = coeffs[:-1]
-    est = _single_root(MonicIntPolynomial(coeffs), s, opts)
+    q = _square_free(p)
+    if s.a == 0 or q.constant_term or q.degree == 1:
+        return _single_root(q, s, opts)
+    est = _single_root(deflate_zero_root(q), s, opts)
     if est.status is not RootStatus.CONVERGED:
         return est
     u, w = est.value.numerator, est.value.denominator
@@ -976,33 +960,21 @@ def _extract_bracket(
 
 
 def _hand_over(
-    p: MonicIntPolynomial,
     q: MonicIntPolynomial,
-    shift: AffineShift,
     opts: DriverOptions,
     sample: Sample,
     newer: Spread,
     older: Spread,
-    left: int,
 ) -> Optional[RootEstimate]:
-    """Hand a slow ``dominant_root`` or ``root_via_shift`` run over to
-    ``_extract_bracket``, which finishes it super-linearly and certifies it;
-    None keeps the run stepping.  ``q`` is the square-free part of ``p``,
-    ``sample`` the run's last sample, ``newer`` and ``older`` its last two
-    blocks' spreads and ``left`` its steps left.
+    """Hand a slow ``dominant_root`` or ``root_via_shift`` run on the
+    square-free ``q`` over to ``_extract_bracket``, which finishes it
+    super-linearly and certifies it; None keeps the run stepping.
+    ``sample`` is the run's last sample, ``n/d``, and ``newer`` and
+    ``older`` its last two blocks' spreads.  As ``q`` is square-free, its
+    dominant root is simple, and the run's samples approach it
+    geometrically.
 
-    When ``q`` has a lower degree, ``p`` has a repeated root: a run whose
-    dominant root is repeated converges like ``1/k``, so no bracket below
-    would hold its root.  The run is handed to ``_single_root(q, shift)``
-    instead, with the steps left and ``q`` as its own square-free part, so
-    that it is not screened again.  ``q`` has the same distinct roots, each
-    simple, so the same root dominates, or the same tie shows.  A restart
-    that runs out of steps reports whichever of its last sample and the
-    handed-over one has the smaller exact ``|q(x)|`` (to first order the
-    one nearer the root): with few steps left its first samples are worse
-    than the run's own.
-
-    Otherwise the bracket is centred on the last sample ``c = n/d``.  With
+    The bracket is centred on the last sample ``c = n/d``.  With
     ``s`` the newer block's spread and ``theta = s / s_old`` the contraction
     from the older block, its half-width is ``2 * s * theta / (1 - theta)``:
     Aitken's estimate of the distance still to go, doubled, in exact
@@ -1019,16 +991,6 @@ def _hand_over(
     count form of ``_count_form``, counts exactly one root in it.
     """
     n, d = sample
-    if q.degree < p.degree:
-        est = _single_root(q, shift, opts, left, q)
-        if est.status is not RootStatus.MAX_ITERS_EXCEEDED:
-            return est
-        # |q(n/d)| < |q(u/v)|, multiplied out by d^m * v^m
-        u, v = est.value.numerator, est.value.denominator
-        m = q.degree
-        if abs(eval_homogeneous(q, n, d)) * v**m >= abs(eval_homogeneous(q, u, v)) * d**m:
-            return est
-        return replace(est, value=Fraction(n, d))
     a, b = newer
     c, e = older
     if a == 0:

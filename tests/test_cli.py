@@ -105,10 +105,10 @@ class TestRootCommand:
         assert "tie-detected" in out
 
     def test_zero_denominator_steps_tie_without_an_error(self, capsys):
-        # (x+1)^2 (x^2+2x+2) under 3 + 3x: the cross ratio is exactly -1 on
-        # every other step and undefined in between, so no two samples are
-        # consecutive and the run ties at its first checkpoint
-        code, out, err = run_cli(capsys, "root", "--poly", "1,4,7,6,2", "--shift", "3,3")
+        # x^3 + x under 2x: the cross ratio is exactly 0 on every other step
+        # and undefined in between, so no two samples are consecutive and
+        # the run ties at its first checkpoint
+        code, out, err = run_cli(capsys, "root", "--poly", "1,0,1,0", "--shift", "0,2")
         assert (code, err) == (EXIT_TIE, "")
         assert "tie-detected" in out
 
@@ -120,8 +120,9 @@ class TestRootCommand:
         assert "max-iters-exceeded" in out
 
     def test_collapse_exit_code(self, capsys):
-        # (x+3)^2 under x -> x + 3: the iteration matrix is nilpotent, which
-        # proves the root -3 before any step
+        # (x+3)^2 under x -> x + 3: the iteration matrix is nilpotent, and
+        # the square-free part x + 3 is linear, which proves the root -3
+        # before any step
         code, out, _ = run_cli(capsys, "root", "--poly", "1,6,9", "--shift=3,1")
         assert code == EXIT_OK
         assert out == "-3  status=converged  iterations=0  shift=3,1  estimator=exact\n"

@@ -203,29 +203,33 @@ class TestRootViaShift:
 
 class TestZeroDenominatorSteps:
     """A step whose second component is 0 has no ratio, so it breaks every
-    run of equal renderings.  In each run below every other step has none:
-    no two samples are consecutive, so nothing is rendered and neither
-    acceptance check is called.  The samples are constant, and each run
-    ties, not raises, at its first checkpoint, the fortieth sample."""
+    run of equal renderings.  In the runs of ``x^3 + x`` below every other
+    step has none: no two samples are consecutive, so nothing is rendered
+    and neither acceptance check is called.  The samples are constant, and
+    each run ties, not raises, at its first checkpoint, the fortieth
+    sample.  The two repeated-root calls would be such runs on ``p``; on
+    its square-free part each ties at the same checkpoint."""
 
     @pytest.mark.parametrize(
-        "coeffs, shift",
+        "coeffs, shift, steps",
         [
             # roots 0 and +-i: the cross ratio is exactly 0 on every other
             # step and undefined in between
-            ([1, 0, 1, 0], None),
-            ([1, 0, 1, 0], (0, 2)),
+            ([1, 0, 1, 0], None, 79),
+            ([1, 0, 1, 0], (0, 2), 79),
             # (x+1)^2 (x^2+2x+2) under 3 + 3x, and (x+2)^2 (x^2+4x+8) under
-            # 2 + x: the cross ratio is exactly the double root on every
-            # other step and undefined in between
-            ([1, 4, 7, 6, 2], (3, 3)),
-            ([1, 8, 28, 48, 32], (2, 1)),
+            # 2 + x: on p the cross ratio would be exactly the double root on
+            # every other step and undefined in between; on the square-free
+            # part every step has a sample, 0 and -2 (-4) in turn, so no
+            # two render equal and the fortieth is step 39
+            ([1, 4, 7, 6, 2], (3, 3), 39),
+            ([1, 8, 28, 48, 32], (2, 1), 39),
         ],
     )
-    def test_zero_cross_ratio_between_undefined_steps_ties(self, coeffs, shift):
+    def test_zero_cross_ratio_between_undefined_steps_ties(self, coeffs, shift, steps):
         p = make_polynomial(coeffs)
         est = root_via_shift(p, AffineShift(*shift)) if shift else dominant_root(p)
-        assert (est.status, est.iterations) == (RootStatus.TIE_DETECTED, 79)
+        assert (est.status, est.iterations) == (RootStatus.TIE_DETECTED, steps)
 
 
 class TestEnumerateRealRoots:
@@ -802,7 +806,7 @@ class TestShiftedRun:
         p = make_polynomial([1, *tail])
         s = AffineShift(a, b)
         if not any(shift_scale(p, s).coeffs):
-            return  # nilpotent: no step is taken
+            return  # nilpotent: a call returns r from the linear square-free part
         # no tie and no handover: only an exact sample, which renders short,
         # settles at 1000 digits before the 60th step
         with mock.patch.object(driver._TieWindow, "decide", return_value=False), \
@@ -1150,24 +1154,24 @@ class TestHandover:
 
 
 class TestRepeatedDominantRoot:
-    """A repeated dominant root converges like 1/k, so the run starts over
-    on the square-free part at its first handover point; these once ran all
-    10000 steps and returned MAX_ITERS_EXCEEDED."""
+    """A repeated dominant root converges like 1/k, so a call runs on the
+    square-free part from its first step; these once ran all 10000 steps
+    and returned MAX_ITERS_EXCEEDED."""
 
     @pytest.mark.parametrize(
         "coeffs, shift, status, value, tol, steps",
         [
             # (x-3)^2 (x+1): settles on the square-free part's run
-            ([1, -5, 3, 9], None, RootStatus.CONVERGED, 3, Fraction(1, 10**12), 65),
+            ([1, -5, 3, 9], None, RootStatus.CONVERGED, 3, Fraction(1, 10**12), 26),
             # (x-2)^3: the square-free part is linear, so the root is exact
-            ([1, -6, 12, -8], (1, 1), RootStatus.CONVERGED, 2, 0, 39),
+            ([1, -6, 12, -8], (1, 1), RootStatus.CONVERGED, 2, 0, 0),
             # (x-3)^2 (x+3): the square-free part x^2 - 9 ties
-            ([1, -3, -9, 27], None, RootStatus.TIE_DETECTED, None, None, 117),
+            ([1, -3, -9, 27], None, RootStatus.TIE_DETECTED, None, None, 78),
             # (x-3)^2 (x-2): the square-free part's run is handed over and
             # meets 3 exactly
-            ([1, -8, 21, -18], None, RootStatus.CONVERGED, 3, 0, 78),
+            ([1, -8, 21, -18], None, RootStatus.CONVERGED, 3, 0, 39),
             # x^2 (x-2): the double root 0 dominates under x - 3, found from
-            # x - 2 with its zero roots divided out, before any step
+            # x - 2 with its zero root divided out, before any step
             ([1, -2, 0, 0], (-3, 1), RootStatus.CONVERGED, 0, 0, 0),
         ],
     )
@@ -1179,68 +1183,57 @@ class TestRepeatedDominantRoot:
         if value is not None:
             assert abs(est.value - value) <= value * tol
 
-    @pytest.mark.parametrize("max_iters", [40, 41, 45, 60, 77])
-    def test_restart_spends_only_the_budget_left(self, max_iters):
-        # (x-3)^2 (x-2) starts over at its 40th sample, on the steps left
-        est = dominant_root(
-            make_polynomial([1, -8, 21, -18]), DriverOptions(max_iters=max_iters)
-        )
-        assert (est.status, est.iterations) == (RootStatus.MAX_ITERS_EXCEEDED, max_iters)
-
-    @pytest.mark.parametrize("max_iters", [78, 80])
-    def test_restart_that_fits_its_budget_converges(self, max_iters):
-        est = dominant_root(
-            make_polynomial([1, -8, 21, -18]), DriverOptions(max_iters=max_iters)
-        )
-        assert (est.status, est.value, est.iterations) == (RootStatus.CONVERGED, 3, 78)
-
     @pytest.mark.parametrize(
-        "max_iters, rendered, handed_over",
+        "coeffs, shift, value",
         [
-            (39, "3.0769231", True),
-            (40, "3.0769231", True),
-            (41, "3.0769231", True),
-            (45, "3.0621661", False),
-            (60, "3.0001337", False),
+            # each repeated root's image is the second largest: on p its
+            # Jordan block would decay like k * gap^-k and make the run tie
+            # at its first checkpoint
+            ([1, -5, -30, 175, -125], None, "-5.85410196625"),  # (x-5)^2 (x^2+5x-5)
+            ([1, 3, -42, 100, -72], (6, 2), -9),  # (x-2)^3 (x+9)
+            ([1, 12, 39, -10, -150], (-6, -3), "1.64575131106"),  # (x+5)^2 (x^2+2x-6)
+            ([1, 7, -12, -176, -320], None, 5),  # (x-5) (x+4)^3
+            ([1, -6, -36, 216], (1, -2), -6),  # (x-6)^2 (x+6)
         ],
     )
-    def test_budget_end_reports_the_sample_nearer_the_root(
-        self, max_iters, rendered, handed_over
-    ):
-        # (x-3)^2 (x-2) hands over its 40th sample (family step 41).  With few
-        # steps left the restart's own last sample is worse (5.0, 3.8 and
-        # 3.42 at 39, 40 and 41), so the smaller exact |q(x)| picks the
-        # handed-over one; from 45 on the restart's is nearer 3.
+    def test_a_repeated_root_below_the_dominant_one_does_not_tie(self, coeffs, shift, value):
+        est = _run(coeffs, shift)
+        assert est.status is RootStatus.CONVERGED
+        if isinstance(value, int):
+            assert (est.value, est.estimator) == (value, "exact")
+        else:
+            assert est.decimal() == value
+
+    @pytest.mark.parametrize("max_iters", [1, 20, 38, 39, 40, 41, 60])
+    def test_the_budget_bounds_the_square_free_run(self, max_iters):
+        # (x-3)^2 (x-2) runs on (x-3)(x-2), whose 40th sample (step 39) is
+        # handed over and meets 3 exactly; a smaller budget ends on the
+        # square-free run's own last sample, with no digit certified
         p = make_polynomial([1, -8, 21, -18])
         est = dominant_root(p, DriverOptions(max_iters=max_iters))
-        assert (est.status, est.iterations) == (RootStatus.MAX_ITERS_EXCEEDED, max_iters)
-        assert est.decimal(8) == rendered
-        # no digit is certified: at 41 steps 3.0769 agrees with the sample
-        # before it to 3 digits, but is 0.077 from the root
-        assert est.decimal_digits == 0
-        family = SequenceFamily(p)
-        family.run_to(41)
-        assert (est.value == family.cross_ratio(1)) is handed_over
-        q = _square_free(p)
-        other = driver._single_root(q, IDENTITY_SHIFT, DriverOptions(), max_iters - 39).value
-        if handed_over:
-            assert abs(eval_rational(q, est.value)) < abs(eval_rational(q, other))
+        if max_iters < 39:
+            assert (est.status, est.iterations, est.decimal_digits) == (
+                RootStatus.MAX_ITERS_EXCEEDED, max_iters, 0)
+            # a family starts at index 1, so step k of the run is index k + 1
+            family = SequenceFamily(_square_free(p))
+            family.run_to(max_iters + 1)
+            assert est.value == family.cross_ratio(1)
         else:
-            assert est.value == other
+            assert (est.status, est.value, est.iterations) == (RootStatus.CONVERGED, 3, 39)
 
     @pytest.mark.parametrize(
         "coeffs, steps, rendered",
         [
-            # (x-3)^2 (x+1): the restart settles before its own checkpoint
-            ([1, -5, 3, 9], 65, "3.00000000000"),
-            # (x-3)^2 (x+2): the restart reaches its first checkpoint, where
-            # it is handed over and meets 3 exactly
-            ([1, -4, -3, 18], 81, "3"),
+            # (x-3)^2 (x+1): the square-free run settles before its first
+            # checkpoint
+            ([1, -5, 3, 9], 26, "3.00000000000"),
+            # (x-3)^2 (x+2): the square-free run reaches its first
+            # checkpoint, where it is handed over and meets 3 exactly
+            ([1, -4, -3, 18], 42, "3"),
         ],
     )
     def test_a_call_screens_for_repeated_roots_once(self, coeffs, steps, rendered):
-        # the restart is handed its square-free part, and does not screen it
-        # again at its own checkpoints
+        # before its first step, and not again at its checkpoints
         screened = []
 
         def spy(p):
@@ -1479,8 +1472,8 @@ class TestBernsteinIsolation:
 class TestSeedCollapse:
     """The default seed reaches the zero vector only when the iteration
     matrix is nilpotent, ``p = (x-r)^m`` under a shift with ``a + b*r = 0``.
-    That proves the root ``r = -a/b``, so the run returns it exactly and
-    never steps."""
+    The square-free part of such a ``p`` is ``x - r``, so the call returns
+    ``r = -a/b`` exactly and never steps."""
 
     @pytest.mark.parametrize(
         "coeffs, shift",
