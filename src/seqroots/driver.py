@@ -39,10 +39,12 @@ digits.
 ``dominant_root`` and ``root_via_shift`` share one path, ``_single_root``,
 whose loop renders, checks, tests for ties and hands over.  Its samples
 are the first two components ``(x_j, y_j)`` of ``(a*I + b*C)^j e_1``.
-``dominant_root`` steps the family of ``p``, where ``y_j`` is ``x_(j-1)``.
-A shifted run makes the ``m - 1`` start products of ``a*I + b*C``, then
-steps the scalar recurrence of ``shift_scale(p, s)``, which the ``x_j``
-obey by Cayley-Hamilton, and carries ``y_(j+1) = a*y_j + b*x_j``: ``m + 2``
+Every run builds the ``SequenceFamily`` of ``p`` under its shift, which
+makes the ``m - 1`` start products of ``a*I + b*C``.  ``dominant_root``
+steps that family, where ``y_j`` is ``x_(j-1)``.  A shifted run starts
+the family of ``shift_scale(p, s)`` from the first components of those
+start vectors and steps its scalar recurrence, which the ``x_j`` obey by
+Cayley-Hamilton, and carries ``y_(j+1) = a*y_j + b*x_j``: ``m + 2``
 products a step instead of the ``3m - 2`` of the whole vector, on the same
 integers.  An extraction run has its own loop too, in
 ``_extract_bracket``: it takes samples the same way, accepts on the
@@ -59,10 +61,10 @@ out and decides from that run's root whether 0 dominates.
 The loops around the recurrence stay in the integers.  A sample is the
 pair ``(n, d)`` of the first two components, ``d > 0``, and two samples
 compare by cross-multiplying.  Between checkpoints the tie test only
-collects samples, each appended to its block; it finds each block's
-largest and smallest once, in
-``2 * TIE_SPAN`` comparisons at the first checkpoint after it ends, and
-the two spreads compare in one inequality.  Samples are rendered
+keeps samples, the last ``2 * TIE_SPAN`` at most.  It finds each half's
+largest and smallest once, in ``2 * TIE_SPAN`` comparisons at the first
+checkpoint after the half ends, and the two spreads compare in one
+inequality.  Samples are rendered
 only when two consecutive ones can render equal: renderings that
 coincide at D significant digits satisfy
 ``|x - y| * 10^(D-1) <= 2 * max(|x|, |y|)``, and a pair that fails this
@@ -112,12 +114,9 @@ from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from operator import add, index as _as_int, mul
 from typing import Optional
 
-from .companion import iteration_matrix, mat_vec
-from .errors import OutOfRangeError, ZeroDenominatorError
 from .poly import (
     IDENTITY_SHIFT,
     AffineShift,
@@ -274,43 +273,6 @@ def _spread(samples: list[Sample]) -> Spread:
     return a * e - c * b, b * e
 
 
-class _TieWindow:
-    """Exact tie test on whole blocks of ``span`` samples.
-
-    A run appends each sample to ``block`` and calls ``decide`` at each
-    checkpoint, when ``block`` holds ``due`` samples: the ``2 * span``-th
-    sample, then every ``span``-th.  It returns True, a tie, if the spread
-    of the block that ends there is at least that of the block before it,
-    and False otherwise.  A run that ends before its first checkpoint
-    compares nothing, and each block's spread is taken once.
-    """
-
-    def __init__(self, span: int = TIE_SPAN) -> None:
-        self.span = span
-        self.due = 2 * span
-        self.block: list[Sample] = []
-        # the last two blocks' spreads, once a checkpoint is reached
-        self._newer: Spread = (0, 1)
-        self._older: Spread = (0, 1)
-
-    def decide(self) -> bool:
-        block = self.block
-        if self.due > self.span:
-            self._newer = _spread(block[: self.span])
-            del block[: self.span]
-            self.due = self.span
-        self._older, self._newer = self._newer, _spread(block)
-        block.clear()
-        num, den = self._newer
-        older_num, older_den = self._older
-        return num * older_den >= older_num * den
-
-    def spreads(self) -> tuple[Spread, Spread]:
-        """The spreads of the blocks that end at and before the last
-        checkpoint."""
-        return self._newer, self._older
-
-
 def _exact_estimate(
     value: Fraction,
     shift: AffineShift,
@@ -333,27 +295,21 @@ def _exact_estimate(
 def _successive_ok(
     family: SequenceFamily, shift: AffineShift, value: Fraction, target_digits: int
 ) -> bool:
-    """Cross-check: the step-over-step ratio of the first component of
-    ``family`` that has one sits within ``10^-t`` of ``a + b * value`` for
-    ``shift = (a, b)``, ``t = target_digits - 2`` (at least 0).  With no
-    such ratio there is nothing to contradict.  ``shift`` is the run's: a
-    shifted run steps the family of ``shift_scale(p, shift)``, whose own
-    shift is the identity.
+    """Cross-check: the step-over-step ratio ``x_j / x_(j-1)`` of the first
+    component of ``family`` sits within ``10^-t`` of ``a + b * value`` for
+    ``shift = (a, b)``, ``t = target_digits - 2`` (at least 0).  The caller
+    has seen ``x_(j-1) != 0`` and at least one step of the family.
+    ``shift`` is the run's: a shifted run steps the family of
+    ``shift_scale(p, shift)``, whose own shift is the identity.
 
     With ``value = u/v`` and the ratio ``n/e`` (``v, e > 0``) this is the
     integer inequality ``|n*v - e*(a*v + b*u)| * 10^t <= e*v``.
     """
     t = max(0, target_digits - 2)
     u, v = value.numerator, value.denominator
-    expected = shift.a * v + shift.b * u
-    for i in range(1, family.degree + 1):
-        try:
-            got = family.successive_ratio(i)
-        except (ZeroDenominatorError, OutOfRangeError):
-            continue
-        n, e = got.numerator, got.denominator
-        return abs(n * v - e * expected) * 10**t <= e * v
-    return True
+    got = family.successive_ratio(1)
+    n, e = got.numerator, got.denominator
+    return abs(n * v - e * (shift.a * v + shift.b * u)) * 10**t <= e * v
 
 
 def _single_root(
@@ -365,15 +321,16 @@ def _single_root(
     A ``p`` of degree 1 returns its root exactly, with 0 iterations.
 
     A sample reads only the first two components ``(x_j, y_j)`` of
-    ``S_j``.  Under the identity shift the run steps the family of ``p``,
-    whose ``y_j`` is ``x_(j-1)``.  Under any other shift the run makes the
-    ``m - 1`` start products of ``a*I + b*C`` itself.  By Cayley-Hamilton
-    the ``x_j`` obey the scalar recurrence of ``shift_scale(p, s)``, so the
-    run steps that polynomial's family under the identity shift, started
-    from ``(x_(m-1), ..., x_0)``, and carries ``y_(j+1) = a*y_j + b*x_j``:
-    ``m + 2`` products a step instead of ``3m - 2``, on the same integers.
-    Its ``peak_bits`` is the widest of the start vectors, the ``x_j`` and
-    the ``y_j``.
+    ``S_j``.  Every run first builds the family of ``p`` under ``s``, which
+    makes the ``m - 1`` start products of ``a*I + b*C``.  Under the
+    identity shift the run steps that family, whose ``y_j`` is
+    ``x_(j-1)``.  Under any other shift the ``x_j`` obey the scalar
+    recurrence of ``shift_scale(p, s)`` (Cayley-Hamilton), so the run steps
+    that polynomial's family under the identity shift, started from the
+    first components ``(x_(m-1), ..., x_0)`` of the start family's window,
+    and carries ``y_(j+1) = a*y_j + b*x_j``: ``m + 2`` products a step
+    instead of ``3m - 2``, on the same integers.  Its ``peak_bits`` is the
+    widest of the start vectors, the ``x_j`` and the ``y_j``.
 
     The cross ratios approach a root of ``p``.  A value whose rendering has
     settled is accepted if its residual passes (``_residual_ok``) and, in a
@@ -384,37 +341,38 @@ def _single_root(
     its tie test.  A run that ends at ``opts.max_iters`` steps, like a tie,
     reports 0 digits: no digit of its last sample is certified.
 
-    A step reads its sample as an integer pair and appends it to the block
-    of the exact ``_TieWindow``, which decides at every ``TIE_SPAN``-th
-    sample from the fortieth on.  A step with a zero denominator has no
-    sample: it appends nothing, and the next sample starts a new run of
-    equal renderings, so such a run only ever holds samples of consecutive
-    steps.  It grows only while ``_may_render_equal`` admits the last two
-    samples, and only then are they rendered, from their integer pairs.  A
-    ``Fraction`` is built only for a value that is checked, returned or
-    reported as a tie.
+    A step reads its sample as an integer pair and keeps it in ``block``,
+    which holds at most the last ``2 * TIE_SPAN`` samples.  The run checks
+    for a tie whenever ``block`` is full, at every ``TIE_SPAN``-th sample
+    from the fortieth on: it takes the ``_spread`` of the newer half, and of
+    the older half at the first checkpoint only (later the older half's
+    spread is the previous checkpoint's newer one), reports a tie if the
+    newer is no smaller, and otherwise drops the older half.  A step with a
+    zero denominator has no sample: it keeps nothing, and the next sample
+    starts a new run of equal renderings, so such a run only ever holds
+    samples of consecutive steps.  It grows only while ``_may_render_equal``
+    admits the last two samples, and only then are they rendered, from
+    their integer pairs.  A ``Fraction`` is built only for a value that is
+    checked, returned or reported as a tie.
 
     At each checkpoint that did not tie, the last sample and the two
-    blocks' spreads go to ``_hand_over``.  The first estimate it returns
+    halves' spreads go to ``_hand_over``.  The first estimate it returns
     ends the run, its steps and peak bits added to the run's own.
     """
     m, a, b = p.degree, s.a, s.b
     if m == 1:
         return _exact_estimate(Fraction(-p.coeffs[0]), s, opts)
     shifted = a != 0 or b != 1
+    start = SequenceFamily(p, shift=s)
+    # the widest integer of the start vectors, then of every y
+    peak = start.peak_bits
+    y = start.current[1]
     if shifted:
-        matrix = iteration_matrix(p, s)
-        start = [default_seed(m)]
-        for _ in range(m - 1):
-            start.append(mat_vec(matrix, start[-1]))
-        # the widest integer of the start vectors, then of every y
-        peak = max(map(int.bit_length, chain.from_iterable(start)))
-        family = SequenceFamily(shift_scale(p, s), _start=tuple(v[0] for v in reversed(start)))
-        y = start[-1][1]
+        family = SequenceFamily(
+            shift_scale(p, s), _start=tuple(v[0] for v in reversed(start.window))
+        )
     else:
-        family = SequenceFamily(p)
-        peak = 0
-        y = family.current[1]
+        family = start
     vec = family.current
     limit = opts.max_iters
     digits = opts.target_digits
@@ -424,10 +382,11 @@ def _single_root(
     # rendering of the previous sample, or None while it has not been needed
     last_render: Optional[str] = None
     rejected_render: Optional[str] = None
-    tie = _TieWindow()
-    collect = tie.block.append
-    # samples until the next tie checkpoint
-    due = tie.due
+    # the last samples, 2 * TIE_SPAN at a checkpoint, and the spread of the
+    # older half once a checkpoint has taken it
+    block: list[Sample] = []
+    full = 2 * TIE_SPAN
+    older: Optional[Spread] = None
     # the last sample; the previous step's is pn/pd, with pd = 0 if it had none
     last: Optional[Sample] = None
     pn = pd = 0
@@ -453,7 +412,7 @@ def _single_root(
                     # pn = 0 (a shifted run's x_(j-1) = 0): the settled value
                     # is 0, and the whole vector's step ratio is
                     # y_j / y_(j-1) = a = a + b*0 exactly.  The family holds
-                    # no y, and its ratios would skip to older x.
+                    # no y, and its x_j / x_(j-1) has no value.
                     if _residual_ok(p, value, digits) and (
                         not shifted or not pn or _successive_ok(family, s, value, digits)
                     ):
@@ -473,10 +432,12 @@ def _single_root(
                 last_render = rendering
             pn, pd = n, d
             last = (n, d)
-            collect(last)
-            due -= 1
-            if not due:
-                if tie.decide():
+            block.append(last)
+            if len(block) == full:
+                newer = _spread(block[TIE_SPAN:])
+                if older is None:
+                    older = _spread(block[:TIE_SPAN])
+                if newer[0] * older[1] >= older[0] * newer[1]:
                     # no digit of the root is actually known in a tie: a
                     # stalled-but-rejected constant would otherwise report
                     # perfect agreement
@@ -489,8 +450,7 @@ def _single_root(
                         ESTIMATOR_CROSS,
                         max(peak, family.peak_bits),
                     )
-                due = tie.due
-                est = _hand_over(p, opts, last, *tie.spreads())
+                est = _hand_over(p, opts, last, newer, older)
                 if est is not None:
                     return replace(
                         est,
@@ -498,6 +458,8 @@ def _single_root(
                         shift_used=s,
                         peak_bits=max(peak, family.peak_bits, est.peak_bits),
                     )
+                del block[:TIE_SPAN]
+                older = newer
         if steps >= limit:
             # as in a tie, no digit of an unsettled sample is certified
             return RootEstimate(

@@ -25,11 +25,13 @@ stores ``M^j S_0`` exactly.
 Under a shift a step costs ``3m - 2`` products, yet the first component
 of ``M^j S_0`` alone obeys the scalar recurrence of ``shift_scale(p,
 shift)`` (Cayley-Hamilton).  So a shifted run of ``driver._single_root``
-makes the ``m - 1`` start products of ``M`` itself, then steps the family
-of ``shift_scale(p, shift)`` under the identity shift, started through the
-private ``_start`` from those first components, and carries the second
-component beside it.  The public family, and ``seqroots sequences
---shift``, still step ``M`` whole.  An extraction round of
+builds the family of ``p`` under ``shift`` for its ``m - 1`` start
+products and steps it no further.  It steps the family of ``shift_scale(p,
+shift)`` under the identity shift instead, started through the private
+``_start`` from the first components of the start family's window, and
+carries the second component beside it.  So every start product is made
+here, in ``SequenceFamily.__init__``.  The public family, and ``seqroots
+sequences --shift``, still step ``M`` whole.  An extraction round of
 ``driver._extract_bracket`` builds no family: it steps the identity-shift
 product ``(top . v, v_1, ..., v_(m-1))`` on the first row of its reversed
 polynomial's companion itself, from ``e_1``, and samples from its first
@@ -71,10 +73,12 @@ class SequenceFamily:
     approach a root of ``poly``.  ``current`` is the vector at step ``j``.
     Seed components must be integers (``TypeError`` otherwise).
 
-    The private ``_start`` is the vector at step ``m - 1``, made by the
-    caller: the family makes no start products, stores no earlier step and
+    The private ``_start`` is the vector at step ``m - 1``, made by another
+    family: this one makes no start products, stores no earlier step and
     takes ``peak_bits`` from that vector alone.  A shifted run of
-    ``driver._single_root`` starts its first-component family this way.
+    ``driver._single_root`` starts its first-component family this way,
+    from the first components of the window of the family of ``p`` under
+    its shift.
     An extraction round of ``driver._extract_bracket`` builds no family: it
     steps its own companion row (see the module docstring).
     """
@@ -97,7 +101,7 @@ class SequenceFamily:
         m = poly.degree
         products = m - 1
         if _start is not None:
-            # the vector at step m - 1, already made by the caller
+            # the vector at step m - 1, already made by another family
             seed, products = _start, 0
         elif seed is None:
             seed = default_seed(m)

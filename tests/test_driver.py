@@ -8,13 +8,12 @@ import time
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
 from unittest import mock
 
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqroots import (
@@ -37,9 +36,7 @@ from seqroots.driver import (
     _may_render_equal,
     _on_unit_interval as on_unit_interval,
     _square_free,
-    _TieWindow,
 )
-from seqroots.errors import OutOfRangeError, ZeroDenominatorError
 from seqroots.companion import IterationMatrix, iteration_matrix
 from seqroots.poly import (
     MonicIntPolynomial,
@@ -536,23 +533,8 @@ class TestIntegerCertificate:
         assert den == Fraction(u, 1 << k).denominator
 
 
-class TestTieWindow:
-    """The integer block test decides as max/min over Fractions would."""
-
-    @staticmethod
-    def reference(stream: list[tuple[int, int]], span: int) -> list[Optional[bool]]:
-        """A push decides only at a block end from the second on: a tie when
-        the newer block's max - min is at least the older one's, and None
-        between those checkpoints."""
-        values = [Fraction(n, d) for n, d in stream]
-        out: list[Optional[bool]] = []
-        for k in range(1, len(values) + 1):
-            if k % span or k < 2 * span:
-                out.append(None)
-                continue
-            newer, older = values[k - span : k], values[k - 2 * span : k - span]
-            out.append(max(newer) - min(newer) >= max(older) - min(older))
-        return out
+class TestTieBlocks:
+    """The integer tie test decides as max - min over Fractions would."""
 
     @staticmethod
     def spread(block: list[tuple[int, int]]) -> tuple[int, int]:
@@ -571,47 +553,43 @@ class TestTieWindow:
     )
     large = st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
 
-    @staticmethod
-    @st.composite
-    def span_and_stream(draw):
-        """A span and a stream shorter than, as long as or longer than
-        ``2 * span`` samples."""
-        span = draw(st.one_of(st.just(TIE_SPAN), st.integers(1, 6)))
-        full = 2 * span
-        length = draw(st.one_of(
-            st.integers(1, full - 1),
-            st.sampled_from([full - 1, full, full + 1]),
-            st.integers(full + 1, full + 90),
-        ))
-        item = st.one_of(TestTieWindow.small, TestTieWindow.large)
-        return span, draw(st.lists(item, min_size=length, max_size=length))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(block=st.lists(st.one_of(small, large), min_size=1, max_size=2 * TIE_SPAN))
+    def test_spread_matches_fraction_max_min(self, block):
+        num, den = driver._spread(block)
+        values = [Fraction(n, d) for n, d in block]
+        assert den > 0 and Fraction(num, den) == max(values) - min(values)
+        assert (num, den) == self.spread(block)
 
-    @staticmethod
-    def drive(window: _TieWindow, stream: list[tuple[int, int]]) -> list[Optional[bool]]:
-        """Append each sample and decide at each checkpoint, as a run does:
-        a verdict per sample, None between checkpoints."""
-        got: list[Optional[bool]] = []
-        for sample in stream:
-            window.block.append(sample)
-            got.append(window.decide() if len(window.block) == window.due else None)
-        return got
+    def test_run_decides_at_every_checkpoint(self):
+        # x^3 - x^2 + 3x + 3: a complex pair of modulus 2.05 dominates.  Every
+        # step has a sample, no handover finds a bracket, and the run decides
+        # at samples 40, 60, 80 and 100 that it does not tie, then ties at
+        # sample 120, after 119 steps.  Each verdict, and each pair of spreads
+        # handed over, is that of max - min over the run's own samples.
+        with mock.patch.object(driver, "_hand_over", wraps=driver._hand_over) as hand_over:
+            est, pairs = _run_pairs(make_polynomial([1, -1, 3, 3]), IDENTITY_SHIFT, DriverOptions())
+        assert (est.status, est.iterations) == (RootStatus.TIE_DETECTED, 119)
+        samples = [(n, d) if d > 0 else (-n, -d) for n, d in pairs]
+        assert len(samples) == 120 and all(d for _, d in samples)
+        assert est.value == Fraction(*samples[-1])
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(case=span_and_stream())
-    def test_matches_fraction_max_min(self, case):
-        span, stream = case
-        window = _TieWindow(span)
-        got = []
-        for k in range(1, len(stream) + 1):
-            got += self.drive(window, stream[k - 1 : k])
-            if got[-1] is not None:
-                newer, older = stream[k - span : k], stream[k - 2 * span : k - span]
-                assert window.spreads() == (self.spread(newer), self.spread(older))
-        assert got == self.reference(stream, span)
+        def width(block):
+            values = [Fraction(n, d) for n, d in block]
+            return max(values) - min(values)
 
-    def test_constant_stream_ties_once_full(self):
-        got = self.drive(_TieWindow(), [(2 * k, k) for k in range(1, 2 * TIE_SPAN + 1)])
-        assert got == [None] * (2 * TIE_SPAN - 1) + [True]
+        checkpoints = range(2 * TIE_SPAN, len(samples) + 1, TIE_SPAN)
+        verdicts = [
+            width(samples[k - TIE_SPAN : k]) >= width(samples[k - 2 * TIE_SPAN : k - TIE_SPAN])
+            for k in checkpoints
+        ]
+        assert list(checkpoints) == [40, 60, 80, 100, 120]
+        assert verdicts == [False, False, False, False, True]
+        assert [call.args[2:] for call in hand_over.call_args_list] == [
+            (samples[k - 1], self.spread(samples[k - TIE_SPAN : k]),
+             self.spread(samples[k - 2 * TIE_SPAN : k - TIE_SPAN]))
+            for k in checkpoints[:-1]
+        ]
 
 
 def _residual_ok_fraction(p, r, target_digits):
@@ -624,17 +602,11 @@ def _residual_ok_fraction(p, r, target_digits):
 
 
 def _successive_ok_fraction(family, value, target_digits):
-    """``_successive_ok`` in ``Fraction`` arithmetic: the first step ratio
-    that exists lies within the tolerance of the shifted value."""
+    """``_successive_ok`` in ``Fraction`` arithmetic: the step ratio of
+    sequence 1 lies within the tolerance of the shifted value."""
     expected = family.shift.apply(value)
     tol = Fraction(1, 10 ** max(0, target_digits - 2))
-    for i in range(1, family.degree + 1):
-        try:
-            got = family.successive_ratio(i)
-        except (ZeroDenominatorError, OutOfRangeError):
-            continue
-        return abs(got - expected) <= tol
-    return True
+    return abs(family.successive_ratio(1) - expected) <= tol
 
 
 class TestIntegerAcceptanceChecks:
@@ -677,7 +649,7 @@ class TestIntegerAcceptanceChecks:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
-        tail=st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        tail=st.lists(st.integers(-9, 9), min_size=2, max_size=4),
         shift=st.tuples(st.integers(-5, 5), st.integers(-3, 3).filter(bool)),
         steps=st.integers(0, 30),
         digits=st.integers(1, 30),
@@ -690,19 +662,16 @@ class TestIntegerAcceptanceChecks:
     )
     def test_successive_matches_fraction_reference(self, tail, shift, steps, digits, offset):
         # the value is placed ``offset`` tolerances from the step ratio's
-        # preimage: +-1 lands exactly on the edge |got - expected| = tol
+        # preimage: +-1 lands exactly on the edge |got - expected| = tol.
+        # A run of degree 2 or more checks only when sequence 1 was nonzero
+        # at the step before, so sequence 1 has a step ratio.
         s = AffineShift(*shift)
         family = SequenceFamily(make_polynomial([1, *tail]), shift=s)
         family.run_to(family.j + steps)
+        assume(family.vector(family.j - 1)[0] != 0)
         tol = Fraction(1, 10 ** max(0, digits - 2))
-        got = None
-        for i in range(1, family.degree + 1):
-            try:
-                got = family.successive_ratio(i)
-                break
-            except (ZeroDenominatorError, OutOfRangeError):
-                continue
-        value = Fraction(0) if got is None else (got + offset * tol - s.a) / s.b
+        got = family.successive_ratio(1)
+        value = (got + offset * tol - s.a) / s.b
         assert driver._successive_ok(family, s, value, digits) is (
             _successive_ok_fraction(family, value, digits)
         )
@@ -807,10 +776,10 @@ class TestShiftedRun:
         s = AffineShift(a, b)
         if not any(shift_scale(p, s).coeffs):
             return  # nilpotent: a call returns r from the linear square-free part
-        # no tie and no handover: only an exact sample, which renders short,
-        # settles at 1000 digits before the 60th step
-        with mock.patch.object(driver._TieWindow, "decide", return_value=False), \
-                mock.patch.object(driver, "_hand_over", return_value=None):
+        # no tie checkpoint within the 61 samples, and so no handover: only an
+        # exact sample, which renders short, settles at 1000 digits before
+        # the 60th step
+        with mock.patch.object(driver, "TIE_SPAN", 31):
             est, pairs = _run_pairs(p, s, DriverOptions(target_digits=1000, max_iters=60))
         assert est.iterations == 60 or est.status is RootStatus.CONVERGED
         family = SequenceFamily(p, shift=s, keep_history=True)
@@ -962,10 +931,10 @@ class TestRegressionPins:
     def test_wide_bracket_degree_11_at_30_digits(self):
         # (x+19)(x+20)^2(x+10)^3 (x^5+32x^4-6x^3-23x^2-23x-39): a wide first
         # bracket, where failed extraction rounds once dominated.  Extraction
-        # builds no tie test: a round ends on a kept sample or its budget
+        # takes no spread: a round ends on a kept sample or its budget
         coeffs = [1, 121, 6072, 163903, 2568750, 23317024, 112386939, 206423730,
                   -141707900, -278685000, -308960000, -296400000]
-        with mock.patch.object(driver, "_TieWindow", side_effect=AssertionError):
+        with mock.patch.object(driver, "_spread", side_effect=AssertionError):
             got = enumerate_real_roots(make_polynomial(coeffs), DriverOptions(target_digits=30))
         assert [(e.estimator, e.iterations, e.peak_bits) for e in got] == [
             ("cross-ratio", 21, 819),
